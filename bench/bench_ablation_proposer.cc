@@ -31,12 +31,8 @@ runOneDirection(const ColocationInstance &instance,
 {
     auto side_prefs = [&](const std::vector<AgentId> &side,
                           const std::vector<AgentId> &other) {
-        return PreferenceProfile::fromDisutility(
-            side.size(), other.size(),
-            [&](AgentId a, AgentId b) {
-                return instance.believedDisutility(side[a], other[b]);
-            },
-            false);
+        return PreferenceProfile::fromDisutility(instance.believedView(),
+                                                 side, other);
     };
     const auto result = stableMarriage(side_prefs(proposers, acceptors),
                                        side_prefs(acceptors, proposers));
@@ -61,12 +57,8 @@ partnerChurn(const ColocationInstance &instance,
 {
     auto side_prefs = [&](const std::vector<AgentId> &side,
                           const std::vector<AgentId> &other) {
-        return PreferenceProfile::fromDisutility(
-            side.size(), other.size(),
-            [&](AgentId a, AgentId b) {
-                return instance.believedDisutility(side[a], other[b]);
-            },
-            false);
+        return PreferenceProfile::fromDisutility(instance.believedView(),
+                                                 side, other);
     };
     const PreferenceProfile a_over_b = side_prefs(side_a, side_b);
     const PreferenceProfile b_over_a = side_prefs(side_b, side_a);

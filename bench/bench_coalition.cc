@@ -250,8 +250,7 @@ main(int argc, char **argv)
                     const auto instance = sampleInstance(
                         catalog, model, agents, MixKind::Uniform, rng);
                     Rng trial_rng = rng.split();
-                    const DisutilityTable believed =
-                        instance.believedTable(threads);
+                    const Disutility &believed = instance.believedView();
                     const CoalitionPreferences prefs(believed);
 
                     std::vector<JobTypeId> types;

@@ -60,9 +60,7 @@ main(int argc, char **argv)
         for (std::size_t trial = 0; trial < trials; ++trial) {
             const auto instance = sampleInstance(
                 catalog, model, agents, MixKind::Uniform, rng);
-            const DisutilityFn d = [&](AgentId a, AgentId b) {
-                return instance.trueDisutility(a, b);
-            };
+            const Disutility &d = instance.trueView();
             for (const auto &policy : policies) {
                 Rng policy_rng = rng.split();
                 const Matching m = policy->assign(instance, policy_rng);

@@ -50,9 +50,7 @@ main(int argc, char **argv)
         };
         const auto instance =
             ColocationInstance::oracular(catalog, types, model);
-        const DisutilityFn d = [&](AgentId a, AgentId b) {
-            return instance.trueDisutility(a, b);
-        };
+        const Disutility &d = instance.trueView();
 
         // Performance-centric: minimum total penalty over the three
         // perfect matchings of four agents.

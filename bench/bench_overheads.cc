@@ -117,9 +117,7 @@ BM_BlockingPairCount(benchmark::State &state)
     Rng rng(13);
     const Matching m =
         StableMarriageRandomPolicy().assign(instance, rng);
-    const DisutilityFn d = [&](AgentId a, AgentId b) {
-        return instance.trueDisutility(a, b);
-    };
+    const Disutility &d = instance.trueView();
     for (auto _ : state)
         benchmark::DoNotOptimize(countBlockingPairs(m, d, 0.02));
 }

@@ -75,10 +75,17 @@ printResults(const std::vector<std::size_t> &thread_counts,
              const std::vector<KernelResult> &kernels)
 {
     std::vector<std::string> header{"kernel"};
+    // Appending in place, not operator+ on a temporary, avoids GCC
+    // 12's false -Wrestrict in the inlined string insert.
+    const auto label = [](const char *prefix, std::size_t t) {
+        std::string out(prefix);
+        out += std::to_string(t);
+        return out;
+    };
     for (std::size_t t : thread_counts)
-        header.push_back("t=" + std::to_string(t));
+        header.push_back(label("t=", t));
     for (std::size_t t : thread_counts)
-        header.push_back("x" + std::to_string(t));
+        header.push_back(label("x", t));
     header.push_back("identical");
     Table table(std::move(header));
     for (const KernelResult &k : kernels) {
@@ -193,9 +200,8 @@ main(int argc, char **argv)
                 for (std::size_t i = 0; i < n; ++i)
                     for (std::size_t j = 0; j < n; ++j)
                         penalty[i][j] = rng.uniform() * 0.3;
-                const DisutilityFn d = [&](AgentId a, AgentId b) {
-                    return penalty[a][b];
-                };
+                const Disutility d = Disutility::tabulate(
+                    n, [&](AgentId a, AgentId b) { return penalty[a][b]; });
                 Matching m(n);
                 const auto order = rng.permutation(n);
                 for (std::size_t i = 0; i + 1 < n; i += 2)

@@ -14,13 +14,13 @@
  *                     the widest SIMD tier this machine offers (equal
  *                     tiers on non-AVX machines: speedup ~1)
  *  - predict:         baselinePredict vs. the neighbor-list predictor
- *  - matching:        believedPreferences + oracle roommates vs. the
- *                     DisutilityTable-backed path (conservative
- *                     baseline: it already shares the rank-key
- *                     preference sort)
- *  - blocking:        the std::function scan vs. the table scan with
- *                     row pruning (count mode, no pair vector)
- *  - blocking_incremental: the full O(n^2) table scan vs. a
+ *  - matching:        preferences + roommates over an explicit n x n
+ *                     memo of the believed disutilities vs. the same
+ *                     over the type-level Disutility view
+ *  - blocking:        the std::function scan vs. the view scan with
+ *                     row and pair pruning (count mode, no pair
+ *                     vector)
+ *  - blocking_incremental: the full O(n^2) view scan vs. a
  *                     quiet-epoch BlockingBounds::update (nothing
  *                     dirty, the online service's steady state)
  *  - shapley:         sampled Shapley, timed for trend tracking only
@@ -45,6 +45,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -362,10 +363,14 @@ main(int argc, char **argv)
             }
 
             // --- matching --------------------------------------------
-            // Baseline is the pre-table call path (believedPreferences
-            // + oracle-backed roommates). It already benefits from the
-            // rank-key preference sort, so the reported speedup is the
-            // memo table's marginal win and deliberately conservative.
+            // Baseline is the memoized path the view replaced: every
+            // believed disutility tabulated into an explicit n x n
+            // matrix, then preferences and roommates read from it.
+            // The optimized path computes each value from the
+            // type-level view on the fly.
+            const Disutility &believed = instance.believedView();
+            std::vector<AgentId> all(population);
+            std::iota(all.begin(), all.end(), AgentId(0));
             Matching matched(population);
             {
                 PhaseResult p;
@@ -373,23 +378,18 @@ main(int argc, char **argv)
                 p.mode = "baseline_vs_optimized";
                 Matching base_m(population);
                 p.baselineSeconds = bestSeconds(reps, [&] {
+                    const Disutility memo =
+                        Disutility::tabulate(population, believed);
                     const PreferenceProfile prefs =
-                        instance.believedPreferences();
-                    base_m = adaptedRoommates(
-                                 prefs,
-                                 [&](AgentId a, AgentId b) {
-                                     return instance.believedDisutility(
-                                         a, b);
-                                 })
-                                 .matching;
+                        PreferenceProfile::fromDisutility(memo, all,
+                                                          all);
+                    base_m = adaptedRoommates(prefs, memo).matching;
                 });
                 p.optimizedSeconds = bestSeconds(reps, [&] {
-                    const DisutilityTable table =
-                        instance.believedTable(kThreads);
                     const PreferenceProfile prefs =
-                        PreferenceProfile::fromTable(
-                            table, /*exclude_self=*/true);
-                    matched = adaptedRoommates(prefs, table).matching;
+                        PreferenceProfile::fromDisutility(believed, all,
+                                                          all);
+                    matched = adaptedRoommates(prefs, believed).matching;
                 });
                 p.identical = true;
                 for (AgentId a = 0; a < population; ++a)
@@ -400,9 +400,9 @@ main(int argc, char **argv)
             }
 
             // --- blocking scan ---------------------------------------
-            // The table is built once per epoch for the phases above,
-            // so the optimized scan reuses it; the baseline pays the
-            // std::function oracle per cell, as the seed did.
+            // The baseline pays the seed's std::function oracle per
+            // cell; the view scan prunes rows and pairs by type-level
+            // bounds before hashing any jitter.
             {
                 PhaseResult p;
                 p.name = "blocking";
@@ -410,21 +410,19 @@ main(int argc, char **argv)
                 const DisutilityFn oracle = [&](AgentId a, AgentId b) {
                     return instance.believedDisutility(a, b);
                 };
-                const DisutilityTable table =
-                    instance.believedTable(kThreads);
                 std::size_t base_count = 0, opt_count = 0;
                 p.baselineSeconds = bestSeconds(reps, [&] {
                     base_count = baselineCountBlockingPairs(
                         matched, oracle, alpha, kThreads);
                 });
                 p.optimizedSeconds = bestSeconds(reps, [&] {
-                    opt_count = countBlockingPairs(matched, table,
+                    opt_count = countBlockingPairs(matched, believed,
                                                    alpha, kThreads);
                 });
                 const auto base_pairs = baselineFindBlockingPairs(
                     matched, oracle, alpha, kThreads);
                 const auto opt_pairs = findBlockingPairs(
-                    matched, table, alpha, kThreads);
+                    matched, believed, alpha, kThreads);
                 p.identical = base_count == opt_count &&
                               base_pairs.size() == opt_pairs.size();
                 for (std::size_t i = 0;
@@ -441,30 +439,28 @@ main(int argc, char **argv)
 
             // --- incremental blocking bounds -------------------------
             // The online service's steady state: the matching and the
-            // table both held, so a maintained BlockingBounds answers
-            // the epoch's blocking questions from its bitset while the
-            // scan re-derives all O(n^2) pairs.
+            // disutilities both held, so a maintained BlockingBounds
+            // answers the epoch's blocking questions from its bitset
+            // while the scan re-derives all O(n^2) pairs.
             {
                 PhaseResult p;
                 p.name = "blocking_incremental";
                 p.mode = "baseline_vs_optimized";
-                const DisutilityTable table =
-                    instance.believedTable(kThreads);
                 BlockingBounds bounds;
-                bounds.rebuild(matched, table, alpha, kThreads);
+                bounds.rebuild(matched, believed, alpha, kThreads);
                 std::size_t base_count = 0, opt_count = 0;
                 p.baselineSeconds = bestSeconds(reps, [&] {
-                    base_count = countBlockingPairs(matched, table,
+                    base_count = countBlockingPairs(matched, believed,
                                                     alpha, kThreads);
                 });
                 p.optimizedSeconds = bestSeconds(reps, [&] {
-                    bounds.update(matched, table, alpha, {}, kThreads);
+                    bounds.update(matched, believed, alpha, {}, kThreads);
                     opt_count = bounds.count();
                 });
                 p.identical = base_count == opt_count;
                 const auto scan_pairs = findBlockingPairs(
-                    matched, table, alpha, kThreads);
-                const auto bound_pairs = bounds.pairs(table);
+                    matched, believed, alpha, kThreads);
+                const auto bound_pairs = bounds.pairs(believed);
                 p.identical &= scan_pairs.size() == bound_pairs.size();
                 for (std::size_t i = 0;
                      p.identical && i < scan_pairs.size(); ++i) {

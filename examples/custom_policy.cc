@@ -73,12 +73,8 @@ main(int argc, char **argv)
         Rng policy_rng(17);
         const PolicyRun run = runPolicy(*policy, instance, policy_rng);
         const auto rows = aggregateByType(instance, run.matching);
-        const std::size_t blocking = countBlockingPairs(
-            run.matching,
-            [&](AgentId a, AgentId b) {
-                return instance.trueDisutility(a, b);
-            },
-            0.0);
+        const std::size_t blocking =
+            countBlockingPairs(run.matching, instance.trueView(), 0.0);
         table.addRow({policy->name(), Table::num(run.meanPenalty, 4),
                       Table::num(fairness(rows).rankCorrelation, 3),
                       Table::num(static_cast<long long>(blocking))});

@@ -33,6 +33,19 @@ triRowOffset(std::size_t a, std::size_t items)
     return a * (items - 1) - a * (a - 1) / 2;
 }
 
+/**
+ * All-lane gather of base[idx[l]]. The masked form with every lane
+ * enabled is the same instruction as _mm512_i64gather_pd, but its
+ * pass-through operand is defined, which keeps GCC 12 from flagging
+ * the intrinsic's undefined one as maybe-uninitialized.
+ */
+inline __m512d
+gatherLanes(__m512i idx, const double *base)
+{
+    return _mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xFF, idx,
+                                    base, 8);
+}
+
 } // namespace
 
 void
@@ -101,11 +114,11 @@ similarityBlockAvx512(const PackedColumns &packed, std::size_t a,
                                    std::countr_zero(uni));
                     uni &= uni - 1;
                     const __m512d x = _mm512_set1_pd(va[r]);
-                    const __m512d y = _mm512_i64gather_pd(
+                    const __m512d y = gatherLanes(
                         _mm512_add_epi64(
                             offv, _mm512_set1_epi64(
                                       static_cast<long long>(r))),
-                        values_base, 8);
+                        values_base);
                     dot = _mm512_add_pd(dot, _mm512_mul_pd(x, y));
                     na = _mm512_add_pd(na, _mm512_mul_pd(x, x));
                     nb = _mm512_add_pd(nb, _mm512_mul_pd(y, y));
@@ -134,11 +147,11 @@ similarityBlockAvx512(const PackedColumns &packed, std::size_t a,
                 const __mmask8 lane =
                     _mm512_test_epi64_mask(mvec, bitv);
                 const __m512d x = _mm512_set1_pd(va[r]);
-                const __m512d y = _mm512_i64gather_pd(
+                const __m512d y = gatherLanes(
                     _mm512_add_epi64(
                         offv,
                         _mm512_set1_epi64(static_cast<long long>(r))),
-                    values_base, 8);
+                    values_base);
                 dot = _mm512_mask_add_pd(dot, lane, dot,
                                          _mm512_mul_pd(x, y));
                 na = _mm512_mask_add_pd(na, lane, na,

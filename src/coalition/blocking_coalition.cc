@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 
+#include "matching/blocking.hh"
 #include "obs/obs.hh"
 #include "util/error.hh"
 #include "util/thread_pool.hh"
@@ -26,13 +27,6 @@ currentPenalties(const CoalitionStructure &structure,
         }
     });
     return current;
-}
-
-/** Does the worst member's gain clear the alpha threshold? */
-inline bool
-clears(double min_gain, double alpha)
-{
-    return alpha > 0.0 ? min_gain >= alpha : min_gain > 0.0;
 }
 
 void
@@ -61,7 +55,7 @@ scanAnchor(AgentId anchor, const CoalitionStructure &structure,
     // Anchor dedup: only co-members above the anchor, so every
     // coalition is seen exactly once, from its minimum member.
     std::vector<AgentId> candidates;
-    for (AgentId j : prefs.rankedCandidates(anchor, 0)) {
+    for (AgentId j : prefs.rankedCandidates(anchor)) {
         if (j <= anchor || structure.coalitionOf(j) == kNoCoalition)
             continue;
         candidates.push_back(j);
@@ -73,6 +67,7 @@ scanAnchor(AgentId anchor, const CoalitionStructure &structure,
     std::size_t evaluated = 0;
     std::vector<AgentId> chosen;
     std::vector<AgentId> members;
+    std::vector<AgentId> others;
     bool stop = false;
 
     // Depth-first subset growth along the ranked candidate list; each
@@ -90,8 +85,6 @@ scanAnchor(AgentId anchor, const CoalitionStructure &structure,
 
             double min_gain = 0.0;
             bool first = true;
-            std::vector<AgentId> others;
-            others.reserve(members.size() - 1);
             for (std::size_t i = 0; i < members.size(); ++i) {
                 others.clear();
                 for (std::size_t j = 0; j < members.size(); ++j)
@@ -104,7 +97,7 @@ scanAnchor(AgentId anchor, const CoalitionStructure &structure,
                     min_gain = gain;
                 first = false;
             }
-            if (clears(min_gain, config.alpha) &&
+            if (clearsAlpha(min_gain, config.alpha) &&
                 found(BlockingCoalition{members, min_gain})) {
                 stop = true;
                 return;
@@ -125,16 +118,15 @@ scanAnchor(AgentId anchor, const CoalitionStructure &structure,
 }
 
 /** Can any coalition of up to maxSize members make the anchor clear
- *  alpha? The analogue of blocking.cc's TableRowBound. */
+ *  alpha? The analogue of blocking.cc's row bound. */
 inline bool
 anchorCanBlock(AgentId anchor, double current_a,
                const CoalitionPreferences &prefs,
                const CoalitionScanConfig &config)
 {
-    const double best_gain =
-        current_a - prefs.bestPossiblePenalty(anchor, config.maxSize);
-    return config.alpha > 0.0 ? best_gain >= config.alpha
-                              : best_gain > 0.0;
+    return clearsAlpha(
+        current_a - prefs.bestPossiblePenalty(anchor, config.maxSize),
+        config.alpha);
 }
 
 void

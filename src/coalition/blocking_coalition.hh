@@ -19,7 +19,7 @@
  *    blocking scan).
  *  - *Row-bound pruning.* An anchor whose best conceivable coalition
  *    (CoalitionPreferences::bestPossiblePenalty) cannot clear alpha is
- *    skipped whole, the analogue of blocking.cc's TableRowBound.
+ *    skipped whole, the analogue of blocking.cc's row bound.
  *
  * Like the pairwise scans, only agents currently inside a coalition
  * participate: an agent running alone pays nothing and cannot be

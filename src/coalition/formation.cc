@@ -26,7 +26,7 @@ constexpr std::uint64_t kShapleyStream = 0xC2;
 void
 greedyFill(CoalitionStructure &structure,
            const std::vector<AgentId> &order,
-           const DisutilityTable &believed, std::size_t group_size,
+           const Disutility &believed, std::size_t group_size,
            std::size_t machines)
 {
     // Machines under construction: existing coalitions first, then
@@ -106,7 +106,7 @@ occupiedCoalitions(const CoalitionStructure &structure)
  */
 void
 repairCapacity(CoalitionStructure &structure,
-               const DisutilityTable &believed, std::size_t group_size,
+               const Disutility &believed, std::size_t group_size,
                std::size_t machines, std::size_t keep)
 {
     while (occupiedCoalitions(structure) > machines) {
@@ -136,7 +136,7 @@ repairCapacity(CoalitionStructure &structure,
 
 FormationResult
 formCoalitions(const std::vector<JobTypeId> &types,
-               const DisutilityTable &believed,
+               const Disutility &believed,
                const InterferenceModel &model,
                const FormationConfig &config, const Rng &rng,
                const CoalitionStructure *warm_start)
@@ -147,9 +147,8 @@ formCoalitions(const std::vector<JobTypeId> &types,
     const std::size_t G = config.groupSize;
     fatalIf(G < 2 || G > 20,
             "formCoalitions: group size must be in [2, 20], got ", G);
-    fatalIf(believed.agents() != n || believed.candidates() != n,
-            "formCoalitions: believed table is ", believed.agents(),
-            "x", believed.candidates(), ", population is ", n);
+    fatalIf(believed.agents() != n, "formCoalitions: believed view "
+            "covers ", believed.agents(), " agents, population is ", n);
     for (JobTypeId t : types)
         fatalIf(t >= model.catalog().size(),
                 "formCoalitions: unknown job type ", t);

@@ -108,7 +108,7 @@ struct FormationResult
  * Form coalitions over agents 0..types.size()-1.
  *
  * @param types Catalog type of each agent.
- * @param believed Pairwise believed disutilities, n x n.
+ * @param believed Pairwise believed disutilities over the n agents.
  * @param model Ground truth for truePenalties and attribution.
  * @param config Formation knobs.
  * @param rng Caller's generator; only substream()'d, never advanced.
@@ -117,7 +117,7 @@ struct FormationResult
  */
 FormationResult
 formCoalitions(const std::vector<JobTypeId> &types,
-               const DisutilityTable &believed,
+               const Disutility &believed,
                const InterferenceModel &model,
                const FormationConfig &config, const Rng &rng,
                const CoalitionStructure *warm_start = nullptr);

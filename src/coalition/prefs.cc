@@ -1,66 +1,40 @@
 #include "prefs.hh"
 
 #include <algorithm>
-
-#include "util/error.hh"
+#include <numeric>
 
 namespace cooper {
 
-CoalitionPreferences::CoalitionPreferences(
-    const DisutilityTable &believed)
-    : believed_(&believed)
+CoalitionPreferences::CoalitionPreferences(const Disutility &believed)
+    : n_(believed.agents()), values_(n_ * n_, 0.0), rowMin_(n_, 0.0)
 {
-    fatalIf(believed.agents() != believed.candidates(),
-            "CoalitionPreferences: believed table must be square, got ",
-            believed.agents(), "x", believed.candidates());
+    for (AgentId a = 0; a < n_; ++a) {
+        double *row = values_.data() + a * n_;
+        for (AgentId b = 0; b < n_; ++b)
+            row[b] = believed(a, b);
+        rowMin_[a] = *std::min_element(row, row + n_);
+    }
+    std::vector<AgentId> all(n_);
+    std::iota(all.begin(), all.end(), AgentId(0));
+    profile_ = PreferenceProfile::fromDisutility(believed, all, all);
 }
 
 double
 CoalitionPreferences::believedPenalty(
     AgentId self, std::span<const AgentId> others) const
 {
+    const double *row = values_.data() + self * n_;
     double total = 0.0;
     for (AgentId other : others)
-        total += (*believed_)(self, other);
+        total += row[other];
     return total;
-}
-
-std::vector<AgentId>
-CoalitionPreferences::rankedCandidates(AgentId self,
-                                       std::size_t limit) const
-{
-    const std::size_t n = agents();
-    std::vector<AgentId> order;
-    order.reserve(n - 1);
-    for (AgentId j = 0; j < n; ++j)
-        if (j != self)
-            order.push_back(j);
-    std::sort(order.begin(), order.end(), [&](AgentId a, AgentId b) {
-        const double da = (*believed_)(self, a);
-        const double db = (*believed_)(self, b);
-        return da != db ? da < db : a < b;
-    });
-    if (limit != 0 && order.size() > limit)
-        order.resize(limit);
-    return order;
-}
-
-const PreferenceProfile &
-CoalitionPreferences::pairProfile() const
-{
-    if (!profileBuilt_) {
-        profile_ =
-            PreferenceProfile::fromTable(*believed_, /*exclude_self=*/true);
-        profileBuilt_ = true;
-    }
-    return profile_;
 }
 
 double
 CoalitionPreferences::bestPossiblePenalty(AgentId self,
                                           std::size_t max_size) const
 {
-    const double row_min = believed_->rowMin(self);
+    const double row_min = rowMin_[self];
     if (row_min >= 0.0)
         return row_min;
     return static_cast<double>(max_size - 1) * row_min;

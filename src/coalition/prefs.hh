@@ -26,16 +26,20 @@
 namespace cooper {
 
 /**
- * Believed-cost oracle over coalitions, built on a pairwise
- * DisutilityTable (which must outlive this object).
+ * Believed-cost oracle over coalitions, built from a pairwise
+ * disutility view.
+ *
+ * The blocking-coalition scan re-reads each pair many times, so the
+ * constructor snapshots the view's n x n values once; the snapshot is
+ * immutable and private to this object.
  */
 class CoalitionPreferences
 {
   public:
-    /** @param believed Pairwise believed disutilities, n x n. */
-    explicit CoalitionPreferences(const DisutilityTable &believed);
+    /** @param believed Pairwise believed disutilities. */
+    explicit CoalitionPreferences(const Disutility &believed);
 
-    std::size_t agents() const { return believed_->agents(); }
+    std::size_t agents() const { return n_; }
 
     /** Believed cost to `self` of sharing a CMP with `others`
      *  (zero for an empty set; pairwise entry for one co-member). */
@@ -51,29 +55,33 @@ class CoalitionPreferences
 
     /**
      * `self`'s candidate co-runners ascending by pairwise believed
-     * disutility (id breaks exact ties), truncated to `limit` (0 = no
-     * truncation). The bounded blocking-coalition scan grows
-     * candidate coalitions along this list.
+     * disutility (id breaks exact ties): its pairProfile() list. The
+     * bounded blocking-coalition scan grows candidate coalitions
+     * along this list.
      */
-    std::vector<AgentId> rankedCandidates(AgentId self,
-                                          std::size_t limit) const;
+    const std::vector<AgentId> &rankedCandidates(AgentId self) const
+    {
+        return profile_.list(self);
+    }
 
     /** Pairwise restriction as the matchers' PreferenceProfile. */
-    const PreferenceProfile &pairProfile() const;
+    const PreferenceProfile &pairProfile() const { return profile_; }
 
     /**
      * Sound lower bound on the believed cost of any coalition of up
      * to max_size members containing `self`: the additive sum of
-     * k <= max_size - 1 row entries is at least rowMin when rowMin is
-     * non-negative, and at least (max_size - 1) * rowMin when noisy
-     * measurements pushed it below zero.
+     * k <= max_size - 1 row entries is at least rowMin (the smallest
+     * entry of self's row) when rowMin is non-negative, and at least
+     * (max_size - 1) * rowMin when noisy measurements pushed it below
+     * zero.
      */
     double bestPossiblePenalty(AgentId self, std::size_t max_size) const;
 
   private:
-    const DisutilityTable *believed_;
-    mutable PreferenceProfile profile_;
-    mutable bool profileBuilt_ = false;
+    std::size_t n_;
+    std::vector<double> values_; //!< row-major d(self, other)
+    std::vector<double> rowMin_; //!< per agent, self included
+    PreferenceProfile profile_;
 };
 
 } // namespace cooper

@@ -107,38 +107,20 @@ CooperFramework::runEpoch(const std::vector<JobTypeId> &population)
 
     // 4. Agents assess assignments via message exchange. Candidates
     // are judged with believed penalties; the current co-runner with
-    // the observed (true) penalty. Both oracles are memoized for the
-    // epoch: the believed table once per instance, the assessed table
-    // after the matching is fixed (its answers depend on who ended up
-    // paired with whom).
+    // the observed (true) penalty.
     const std::size_t n = population.size();
-    const DisutilityTable believed =
-        instance.believedTable(config_.execution.threads);
-    const DisutilityTable assessed_table(
-        n, n,
-        [&](AgentId a, AgentId b) {
-            if (report.matching.partnerOf(a) == b)
-                return instance.trueDisutility(a, b);
-            return believed(a, b);
-        },
-        config_.execution.threads);
-    const DisutilityFn assessed = assessed_table.fn();
+    const DisutilityFn assessed = [&](AgentId a, AgentId b) {
+        if (report.matching.partnerOf(a) == b)
+            return instance.trueDisutility(a, b);
+        return instance.believedDisutility(a, b);
+    };
 
+    const PreferenceProfile believed = instance.believedPreferences();
     std::vector<Agent> agents;
     agents.reserve(n);
     for (AgentId i = 0; i < n; ++i) {
         agents.emplace_back(i, population[i]);
-        std::vector<AgentId> prefs;
-        prefs.reserve(n - 1);
-        for (AgentId j = 0; j < n; ++j)
-            if (j != i)
-                prefs.push_back(j);
-        const double *keys = believed.row(i);
-        std::stable_sort(prefs.begin(), prefs.end(),
-                         [keys](AgentId a, AgentId b) {
-                             return keys[a] < keys[b];
-                         });
-        agents.back().setPreferences(std::move(prefs));
+        agents.back().setPreferences(believed.list(i));
     }
 
     std::vector<std::vector<AgentId>> inbox(n);

@@ -83,15 +83,18 @@ mergeLevel(const ColocationInstance &instance,
     if (m < 2)
         return groups;
 
-    auto super_disutility = [&](AgentId gi, AgentId gj) {
-        double acc = 0.0;
-        for (AgentId a : groups[gi])
-            for (AgentId b : groups[gj])
-                acc += instance.believedDisutility(a, b);
-        return acc;
-    };
-    const auto prefs = PreferenceProfile::fromDisutility(
-        m, m, super_disutility, /*exclude_self=*/true);
+    const Disutility super_disutility =
+        Disutility::tabulate(m, [&](AgentId gi, AgentId gj) {
+            double acc = 0.0;
+            for (AgentId a : groups[gi])
+                for (AgentId b : groups[gj])
+                    acc += instance.believedDisutility(a, b);
+            return acc;
+        });
+    std::vector<AgentId> all(m);
+    std::iota(all.begin(), all.end(), AgentId(0));
+    const auto prefs =
+        PreferenceProfile::fromDisutility(super_disutility, all, all);
     const RoommatesResult result =
         adaptedRoommates(prefs, super_disutility);
 

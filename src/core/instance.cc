@@ -1,9 +1,26 @@
 #include "instance.hh"
 
+#include <numeric>
+
 #include "util/error.hh"
-#include "util/rng.hh"
 
 namespace cooper {
+
+namespace {
+
+Disutility
+viewOf(const std::vector<JobTypeId> &types, const PenaltyMatrix &matrix,
+       double jitter)
+{
+    const std::size_t k = matrix.size();
+    std::vector<double> values(k * k);
+    for (std::size_t i = 0; i < k; ++i)
+        for (std::size_t j = 0; j < k; ++j)
+            values[i * k + j] = matrix(i, j);
+    return Disutility(types, k, std::move(values), jitter);
+}
+
+} // namespace
 
 ColocationInstance::ColocationInstance(const Catalog &catalog,
                                        std::vector<JobTypeId> types,
@@ -24,6 +41,8 @@ ColocationInstance::ColocationInstance(const Catalog &catalog,
         fatalIf(t >= catalog.size(),
                 "ColocationInstance: unknown job type ", t);
     fatalIf(jitter_ < 0.0, "ColocationInstance: negative jitter");
+    trueView_ = viewOf(types_, truth_, jitter_);
+    believedView_ = viewOf(types_, believed_, jitter_);
 }
 
 ColocationInstance
@@ -37,47 +56,12 @@ ColocationInstance::oracular(const Catalog &catalog,
                               std::move(believed));
 }
 
-double
-ColocationInstance::jitterFor(AgentId a, AgentId b) const
-{
-    if (jitter_ == 0.0)
-        return 0.0;
-    // Stable per-ordered-pair hash in [0, jitter). Including the pair
-    // (not just the co-runner) keeps two same-type co-runners
-    // distinguishable, giving strict preference orders.
-    std::uint64_t h = (static_cast<std::uint64_t>(a) << 32) ^
-                      (static_cast<std::uint64_t>(b) + 0x51ed2701);
-    return (splitmix64(h) >> 11) * 0x1.0p-53 * jitter_;
-}
-
-double
-ColocationInstance::trueDisutility(AgentId a, AgentId b) const
-{
-    return truth_(types_[a], types_[b]) + jitterFor(a, b);
-}
-
-double
-ColocationInstance::believedDisutility(AgentId a, AgentId b) const
-{
-    return believed_(types_[a], types_[b]) + jitterFor(a, b);
-}
-
 PreferenceProfile
 ColocationInstance::believedPreferences() const
 {
-    return PreferenceProfile::fromDisutility(
-        agents(), agents(),
-        [this](AgentId a, AgentId b) { return believedDisutility(a, b); },
-        /*exclude_self=*/true);
-}
-
-DisutilityTable
-ColocationInstance::believedTable(std::size_t threads) const
-{
-    return DisutilityTable(
-        agents(), agents(),
-        [this](AgentId a, AgentId b) { return believedDisutility(a, b); },
-        threads);
+    std::vector<AgentId> all(agents());
+    std::iota(all.begin(), all.end(), AgentId(0));
+    return PreferenceProfile::fromDisutility(believedView_, all, all);
 }
 
 double

@@ -53,10 +53,23 @@ class ColocationInstance
     JobTypeId typeOf(AgentId a) const { return types_[a]; }
 
     /** Ground-truth disutility of agent a colocated with agent b. */
-    double trueDisutility(AgentId a, AgentId b) const;
+    double trueDisutility(AgentId a, AgentId b) const
+    {
+        return trueView_(a, b);
+    }
 
     /** Disutility as believed by the agents (policy input). */
-    double believedDisutility(AgentId a, AgentId b) const;
+    double believedDisutility(AgentId a, AgentId b) const
+    {
+        return believedView_(a, b);
+    }
+
+    /** Ground-truth disutilities as a view (see disutility.hh). */
+    const Disutility &trueView() const { return trueView_; }
+
+    /** Believed disutilities as a view: the input of every matcher
+     *  and blocking scan. */
+    const Disutility &believedView() const { return believedView_; }
 
     /** Type-level ground truth (no jitter). */
     const PenaltyMatrix &truth() const { return truth_; }
@@ -73,13 +86,6 @@ class ColocationInstance
      */
     PreferenceProfile believedPreferences() const;
 
-    /**
-     * Memoized believed disutilities over all ordered agent pairs.
-     * Valid for as long as this instance's believed penalties are —
-     * i.e. for the epoch that built the instance.
-     */
-    DisutilityTable believedTable(std::size_t threads = 1) const;
-
     /** Mean true penalty across matched agents. */
     double meanTruePenalty(const Matching &matching) const;
 
@@ -87,13 +93,13 @@ class ColocationInstance
     std::vector<double> truePenalties(const Matching &matching) const;
 
   private:
-    double jitterFor(AgentId a, AgentId b) const;
-
     const Catalog *catalog_;
     std::vector<JobTypeId> types_;
     PenaltyMatrix truth_;
     PenaltyMatrix believed_;
     double jitter_;
+    Disutility trueView_;
+    Disutility believedView_;
 };
 
 } // namespace cooper

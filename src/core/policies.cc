@@ -37,18 +37,11 @@ marriageBetween(const ColocationInstance &instance,
                 const std::vector<AgentId> &proposers,
                 const std::vector<AgentId> &acceptors)
 {
-    auto side_prefs = [&](const std::vector<AgentId> &side,
-                          const std::vector<AgentId> &other) {
-        return PreferenceProfile::fromDisutility(
-            side.size(), other.size(),
-            [&](AgentId local_a, AgentId local_b) {
-                return instance.believedDisutility(side[local_a],
-                                                   other[local_b]);
-            },
-            /*exclude_self=*/false);
-    };
-    const PreferenceProfile prop_prefs = side_prefs(proposers, acceptors);
-    const PreferenceProfile acc_prefs = side_prefs(acceptors, proposers);
+    const Disutility &believed = instance.believedView();
+    const PreferenceProfile prop_prefs =
+        PreferenceProfile::fromDisutility(believed, proposers, acceptors);
+    const PreferenceProfile acc_prefs =
+        PreferenceProfile::fromDisutility(believed, acceptors, proposers);
 
     const MarriageResult result = stableMarriage(prop_prefs, acc_prefs);
 
@@ -166,14 +159,9 @@ StableRoommatePolicy::assign(const ColocationInstance &instance,
                              Rng &rng) const
 {
     (void)rng;
-    // One table serves both preference construction and the greedy
-    // fallback pairing; each believed disutility (penalty lookup +
-    // jitter hash) is evaluated exactly once.
-    const DisutilityTable believed = instance.believedTable();
-    const PreferenceProfile prefs =
-        PreferenceProfile::fromTable(believed, /*exclude_self=*/true);
-    const RoommatesResult result = adaptedRoommates(prefs, believed);
-    return result.matching;
+    return adaptedRoommates(instance.believedPreferences(),
+                            instance.believedView())
+        .matching;
 }
 
 ThresholdPolicy::ThresholdPolicy(double tolerance)

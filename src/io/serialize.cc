@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "util/atomic_file.hh"
 #include "util/error.hh"
 
 namespace cooper {
@@ -538,10 +539,9 @@ readShardedState(std::istream &is)
 void
 saveProfiles(const std::string &path, const SparseMatrix &profiles)
 {
-    std::ofstream out(path);
-    fatalIf(!out, "saveProfiles: cannot open '", path, "'");
-    writeProfiles(out, profiles);
-    fatalIf(!out, "saveProfiles: write to '", path, "' failed");
+    writeFileAtomically(
+        path, [&](std::ostream &out) { writeProfiles(out, profiles); },
+        "saveProfiles");
 }
 
 SparseMatrix
@@ -555,10 +555,9 @@ loadProfiles(const std::string &path)
 void
 saveMatching(const std::string &path, const Matching &matching)
 {
-    std::ofstream out(path);
-    fatalIf(!out, "saveMatching: cannot open '", path, "'");
-    writeMatching(out, matching);
-    fatalIf(!out, "saveMatching: write to '", path, "' failed");
+    writeFileAtomically(
+        path, [&](std::ostream &out) { writeMatching(out, matching); },
+        "saveMatching");
 }
 
 Matching
@@ -572,10 +571,9 @@ loadMatching(const std::string &path)
 void
 saveOnlineState(const std::string &path, const OnlineState &state)
 {
-    std::ofstream out(path);
-    fatalIf(!out, "saveOnlineState: cannot open '", path, "'");
-    writeOnlineState(out, state);
-    fatalIf(!out, "saveOnlineState: write to '", path, "' failed");
+    writeFileAtomically(
+        path, [&](std::ostream &out) { writeOnlineState(out, state); },
+        "saveOnlineState");
 }
 
 OnlineState
@@ -589,10 +587,9 @@ loadOnlineState(const std::string &path)
 void
 saveShardedState(const std::string &path, const ShardedState &state)
 {
-    std::ofstream out(path);
-    fatalIf(!out, "saveShardedState: cannot open '", path, "'");
-    writeShardedState(out, state);
-    fatalIf(!out, "saveShardedState: write to '", path, "' failed");
+    writeFileAtomically(
+        path, [&](std::ostream &out) { writeShardedState(out, state); },
+        "saveShardedState");
 }
 
 ShardedState

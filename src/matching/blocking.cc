@@ -10,19 +10,9 @@ namespace cooper {
 
 namespace {
 
-/**
- * The shared scan skeleton. `d(i, j)` answers disutility queries and
- * `rowCanBlock(i, current_i)` prunes first-agent rows that provably
- * cannot reach the required gain (always-true for oracle scans; a
- * rowMin bound for table scans). Pruning is sound because fl(c - d)
- * is monotone in d: if even the row's smallest disutility cannot
- * clear the threshold, no candidate in the row can.
- */
-
 /** Per-agent current penalties (zero when running alone). */
-template <typename D>
 std::vector<double>
-currentPenalties(const Matching &matching, const D &d,
+currentPenalties(const Matching &matching, const Disutility &d,
                  std::size_t threads)
 {
     const std::size_t n = matching.size();
@@ -34,148 +24,53 @@ currentPenalties(const Matching &matching, const D &d,
     return current;
 }
 
-/** Does (gain_i, gain_j) clear the alpha threshold? */
-inline bool
-clears(double gain_i, double gain_j, double alpha)
-{
-    // With alpha = 0 any strict mutual improvement blocks; a positive
-    // alpha demands at least that much from both.
-    return alpha > 0.0 ? (gain_i >= alpha && gain_j >= alpha)
-                       : (gain_i > 0.0 && gain_j > 0.0);
-}
-
-constexpr std::size_t kGrain = 16;
-
-template <typename D, typename RowBound>
-std::vector<BlockingPair>
-collectScan(const Matching &matching, const D &d, double alpha,
-            std::size_t threads, const RowBound &rowCanBlock)
+/**
+ * Visit every blocking pair (i, j), i < j, with i in [row_begin,
+ * row_end), in (i, then j) order; `visit` returns true to stop.
+ * Returns true when stopped early.
+ */
+template <typename Visit>
+bool
+scanRows(const Matching &matching, const Disutility &d,
+         const std::vector<double> &current, double alpha,
+         std::size_t row_begin, std::size_t row_end, Visit &&visit)
 {
     const std::size_t n = matching.size();
-    const std::vector<double> current =
-        currentPenalties(matching, d, threads);
-
-    // Chunks of i-rows, concatenated in row order: the output matches
-    // the serial (i, then j) scan exactly.
-    return parallelReduce(
-        std::size_t(0), n, threads, kGrain, std::vector<BlockingPair>{},
-        [&](std::size_t row_begin, std::size_t row_end) {
-            std::vector<BlockingPair> local;
-            for (AgentId i = row_begin; i < row_end; ++i) {
-                if (!matching.isMatched(i))
-                    continue; // running alone cannot be improved upon
-                if (!rowCanBlock(i, current[i]))
-                    continue;
-                for (AgentId j = i + 1; j < n; ++j) {
-                    if (!matching.isMatched(j) ||
-                        matching.partnerOf(i) == j) {
-                        continue;
-                    }
-                    const double gain_i = current[i] - d(i, j);
-                    const double gain_j = current[j] - d(j, i);
-                    if (clears(gain_i, gain_j, alpha))
-                        local.push_back(
-                            BlockingPair{i, j, gain_i, gain_j});
-                }
-            }
-            return local;
-        },
-        [](std::vector<BlockingPair> &acc,
-           std::vector<BlockingPair> &&part) {
-            acc.insert(acc.end(),
-                       std::make_move_iterator(part.begin()),
-                       std::make_move_iterator(part.end()));
-        });
-}
-
-template <typename D, typename RowBound>
-std::size_t
-countScan(const Matching &matching, const D &d, double alpha,
-          std::size_t threads, const RowBound &rowCanBlock)
-{
-    const std::size_t n = matching.size();
-    const std::vector<double> current =
-        currentPenalties(matching, d, threads);
-
-    // Integer tallies summed in chunk order: exact for any thread
-    // count, and nothing is materialized just to be counted.
-    return parallelReduce(
-        std::size_t(0), n, threads, kGrain, std::size_t(0),
-        [&](std::size_t row_begin, std::size_t row_end) {
-            std::size_t local = 0;
-            for (AgentId i = row_begin; i < row_end; ++i) {
-                if (!matching.isMatched(i))
-                    continue;
-                if (!rowCanBlock(i, current[i]))
-                    continue;
-                for (AgentId j = i + 1; j < n; ++j) {
-                    if (!matching.isMatched(j) ||
-                        matching.partnerOf(i) == j) {
-                        continue;
-                    }
-                    const double gain_i = current[i] - d(i, j);
-                    const double gain_j = current[j] - d(j, i);
-                    if (clears(gain_i, gain_j, alpha))
-                        ++local;
-                }
-            }
-            return local;
-        },
-        [](std::size_t &acc, std::size_t &&part) { acc += part; });
-}
-
-template <typename D, typename RowBound>
-std::optional<BlockingPair>
-firstScan(const Matching &matching, const D &d, double alpha,
-          const RowBound &rowCanBlock)
-{
-    const std::size_t n = matching.size();
-    const std::vector<double> current =
-        currentPenalties(matching, d, /*threads=*/1);
-    for (AgentId i = 0; i < n; ++i) {
+    for (AgentId i = row_begin; i < row_end; ++i) {
         if (!matching.isMatched(i))
-            continue;
-        if (!rowCanBlock(i, current[i]))
+            continue; // running alone cannot be improved upon
+        // Row bound: the largest gain i can see is current_i minus
+        // its row's smallest disutility.
+        if (!clearsAlpha(current[i] - d.rowBound(i), alpha))
             continue;
         for (AgentId j = i + 1; j < n; ++j) {
             if (!matching.isMatched(j) || matching.partnerOf(i) == j)
                 continue;
-            const double gain_i = current[i] - d(i, j);
-            const double gain_j = current[j] - d(j, i);
-            if (clears(gain_i, gain_j, alpha))
-                return BlockingPair{i, j, gain_i, gain_j};
+            double gain_i = 0.0;
+            double gain_j = 0.0;
+            if (pairBlocks(d, i, j, current[i], current[j], alpha,
+                           gain_i, gain_j) &&
+                visit(BlockingPair{i, j, gain_i, gain_j}))
+                return true;
         }
     }
-    return std::nullopt;
+    return false;
 }
 
-/** Row bound for oracle scans: no information, never prune. */
-struct NoRowBound
-{
-    bool operator()(AgentId, double) const { return true; }
-};
-
-/**
- * Row bound from the memo table: the largest gain agent i can see is
- * fl(current_i - rowMin_i); if even that misses the threshold, row i
- * holds no blocking pair.
- */
-struct TableRowBound
-{
-    const DisutilityTable *table;
-    double alpha;
-
-    bool operator()(AgentId i, double current_i) const
-    {
-        const double best_gain = current_i - table->rowMin(i);
-        return alpha > 0.0 ? best_gain >= alpha : best_gain > 0.0;
-    }
-};
+constexpr std::size_t kGrain = 16;
 
 void
 checkAlpha(double alpha)
 {
     fatalIf(alpha < 0.0, "findBlockingPairs: negative alpha ", alpha);
+}
+
+void
+checkShape(const Matching &matching, const Disutility &d)
+{
+    fatalIf(d.agents() != matching.size(), "blocking scan: disutility "
+            "covers ", d.agents(), " agents, matching has ",
+            matching.size());
 }
 
 void
@@ -190,88 +85,85 @@ recordScan(std::size_t pairs)
 } // namespace
 
 std::vector<BlockingPair>
-findBlockingPairs(const Matching &matching, const DisutilityFn &disutility,
+findBlockingPairs(const Matching &matching, const Disutility &disutility,
                   double alpha, std::size_t threads)
 {
     checkAlpha(alpha);
+    checkShape(matching, disutility);
     const TraceSpan span("matching.blocking_scan", "matching");
     const ScopedTimer timer("matching.blocking_seconds");
-    auto pairs =
-        collectScan(matching, disutility, alpha, threads, NoRowBound{});
-    recordScan(pairs.size());
-    return pairs;
-}
-
-std::vector<BlockingPair>
-findBlockingPairs(const Matching &matching,
-                  const DisutilityTable &disutility, double alpha,
-                  std::size_t threads)
-{
-    checkAlpha(alpha);
-    const TraceSpan span("matching.blocking_scan", "matching");
-    const ScopedTimer timer("matching.blocking_seconds");
-    auto pairs = collectScan(
-        matching,
-        [&](AgentId a, AgentId b) { return disutility(a, b); }, alpha,
-        threads, TableRowBound{&disutility, alpha});
+    const std::vector<double> current =
+        currentPenalties(matching, disutility, threads);
+    // Chunks of i-rows, concatenated in row order: the output matches
+    // the serial (i, then j) scan exactly.
+    auto pairs = parallelReduce(
+        std::size_t(0), matching.size(), threads, kGrain,
+        std::vector<BlockingPair>{},
+        [&](std::size_t row_begin, std::size_t row_end) {
+            std::vector<BlockingPair> local;
+            scanRows(matching, disutility, current, alpha, row_begin,
+                     row_end, [&](const BlockingPair &pair) {
+                         local.push_back(pair);
+                         return false;
+                     });
+            return local;
+        },
+        [](std::vector<BlockingPair> &acc,
+           std::vector<BlockingPair> &&part) {
+            acc.insert(acc.end(),
+                       std::make_move_iterator(part.begin()),
+                       std::make_move_iterator(part.end()));
+        });
     recordScan(pairs.size());
     return pairs;
 }
 
 std::size_t
-countBlockingPairs(const Matching &matching, const DisutilityFn &disutility,
+countBlockingPairs(const Matching &matching, const Disutility &disutility,
                    double alpha, std::size_t threads)
 {
     checkAlpha(alpha);
+    checkShape(matching, disutility);
     const TraceSpan span("matching.blocking_scan", "matching");
     const ScopedTimer timer("matching.blocking_seconds");
-    const std::size_t count =
-        countScan(matching, disutility, alpha, threads, NoRowBound{});
-    recordScan(count);
-    return count;
-}
-
-std::size_t
-countBlockingPairs(const Matching &matching,
-                   const DisutilityTable &disutility, double alpha,
-                   std::size_t threads)
-{
-    checkAlpha(alpha);
-    const TraceSpan span("matching.blocking_scan", "matching");
-    const ScopedTimer timer("matching.blocking_seconds");
-    const std::size_t count = countScan(
-        matching,
-        [&](AgentId a, AgentId b) { return disutility(a, b); }, alpha,
-        threads, TableRowBound{&disutility, alpha});
+    const std::vector<double> current =
+        currentPenalties(matching, disutility, threads);
+    // Integer tallies summed in chunk order: exact for any thread
+    // count, and nothing is materialized just to be counted.
+    const std::size_t count = parallelReduce(
+        std::size_t(0), matching.size(), threads, kGrain, std::size_t(0),
+        [&](std::size_t row_begin, std::size_t row_end) {
+            std::size_t local = 0;
+            scanRows(matching, disutility, current, alpha, row_begin,
+                     row_end, [&](const BlockingPair &) {
+                         ++local;
+                         return false;
+                     });
+            return local;
+        },
+        [](std::size_t &acc, std::size_t &&part) { acc += part; });
     recordScan(count);
     return count;
 }
 
 std::optional<BlockingPair>
-firstBlockingPair(const Matching &matching, const DisutilityFn &disutility,
+firstBlockingPair(const Matching &matching, const Disutility &disutility,
                   double alpha)
 {
     checkAlpha(alpha);
+    checkShape(matching, disutility);
     const TraceSpan span("matching.blocking_scan", "matching");
-    auto pair = firstScan(matching, disutility, alpha, NoRowBound{});
+    const std::vector<double> current =
+        currentPenalties(matching, disutility, /*threads=*/1);
+    std::optional<BlockingPair> first;
+    scanRows(matching, disutility, current, alpha, 0, matching.size(),
+             [&](const BlockingPair &pair) {
+                 first = pair;
+                 return true;
+             });
     if (MetricsRegistry *metrics = obsMetrics())
         metrics->counter("matching.blocking_scans").add(1);
-    return pair;
-}
-
-std::optional<BlockingPair>
-firstBlockingPair(const Matching &matching,
-                  const DisutilityTable &disutility, double alpha)
-{
-    checkAlpha(alpha);
-    const TraceSpan span("matching.blocking_scan", "matching");
-    auto pair = firstScan(
-        matching,
-        [&](AgentId a, AgentId b) { return disutility(a, b); }, alpha,
-        TableRowBound{&disutility, alpha});
-    if (MetricsRegistry *metrics = obsMetrics())
-        metrics->counter("matching.blocking_scans").add(1);
-    return pair;
+    return first;
 }
 
 bool

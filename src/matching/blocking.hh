@@ -13,7 +13,6 @@
 #ifndef COOPER_MATCHING_BLOCKING_HH
 #define COOPER_MATCHING_BLOCKING_HH
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -33,34 +32,53 @@ struct BlockingPair
 };
 
 /**
+ * Does a gain clear the alpha threshold? With alpha = 0 any strict
+ * improvement counts; a positive alpha demands at least that much.
+ */
+inline bool
+clearsAlpha(double gain, double alpha)
+{
+    return alpha > 0.0 ? gain >= alpha : gain > 0.0;
+}
+
+/**
+ * Does the pair (i, j) block, given both agents' current penalties?
+ * On true, `gain_i` and `gain_j` hold both sides' gains. A pair whose
+ * type-level upper bound on either gain already misses alpha is
+ * rejected without hashing the jitter (see disutility.hh for why that
+ * is sound); every scan and BlockingBounds decide pairs here.
+ */
+inline bool
+pairBlocks(const Disutility &d, AgentId i, AgentId j, double current_i,
+           double current_j, double alpha, double &gain_i,
+           double &gain_j)
+{
+    if (!clearsAlpha(current_i - d.typeLevel(i, j), alpha) ||
+        !clearsAlpha(current_j - d.typeLevel(j, i), alpha))
+        return false;
+    gain_i = current_i - d(i, j);
+    gain_j = current_j - d(j, i);
+    return clearsAlpha(gain_i, alpha) && clearsAlpha(gain_j, alpha);
+}
+
+/**
  * All pairs that would break away for a benefit of at least alpha.
  *
  * Unmatched agents run alone with zero penalty and therefore never
- * join a blocking pair.
+ * join a blocking pair. Rows whose best possible gain (via
+ * Disutility::rowBound) cannot reach alpha are skipped whole.
  *
  * The O(n^2) scan parallelizes over the first agent's index; chunk
  * results are concatenated in index order, so the returned pairs are
- * in exactly the serial scan's order for any thread count. The
- * disutility oracle must be safe to call concurrently.
+ * in exactly the serial scan's order for any thread count.
  *
  * @param matching Current colocations.
- * @param disutility True disutility oracle.
+ * @param disutility Disutilities the agents judge by.
  * @param alpha Minimum penalty reduction for both agents.
  * @param threads Worker threads; 0 = hardware, 1 = serial.
  */
 std::vector<BlockingPair> findBlockingPairs(const Matching &matching,
-                                            const DisutilityFn &disutility,
-                                            double alpha,
-                                            std::size_t threads = 1);
-
-/**
- * Memoized-table variant: identical pairs in the identical order, but
- * every lookup is one flat-array load and rows whose best possible
- * gain (via DisutilityTable::rowMin) cannot reach alpha are skipped
- * without touching their candidates.
- */
-std::vector<BlockingPair> findBlockingPairs(const Matching &matching,
-                                            const DisutilityTable &disutility,
+                                            const Disutility &disutility,
                                             double alpha,
                                             std::size_t threads = 1);
 
@@ -72,12 +90,7 @@ std::vector<BlockingPair> findBlockingPairs(const Matching &matching,
  * the count is exact for any thread count.
  */
 std::size_t countBlockingPairs(const Matching &matching,
-                               const DisutilityFn &disutility,
-                               double alpha, std::size_t threads = 1);
-
-/** Table-backed count; same count, O(1) lookups, row early exit. */
-std::size_t countBlockingPairs(const Matching &matching,
-                               const DisutilityTable &disutility,
+                               const Disutility &disutility,
                                double alpha, std::size_t threads = 1);
 
 /**
@@ -86,12 +99,7 @@ std::size_t countBlockingPairs(const Matching &matching,
  * very unstable matching answers in O(1) pairs instead of O(n^2).
  */
 std::optional<BlockingPair> firstBlockingPair(const Matching &matching,
-                                              const DisutilityFn &disutility,
-                                              double alpha);
-
-/** Table-backed first-pair probe. */
-std::optional<BlockingPair> firstBlockingPair(const Matching &matching,
-                                              const DisutilityTable &disutility,
+                                              const Disutility &disutility,
                                               double alpha);
 
 /**

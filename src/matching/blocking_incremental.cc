@@ -11,14 +11,6 @@ namespace cooper {
 
 namespace {
 
-/** The scans' threshold test, verbatim (see blocking.cc). */
-inline bool
-clears(double gain_i, double gain_j, double alpha)
-{
-    return alpha > 0.0 ? (gain_i >= alpha && gain_j >= alpha)
-                       : (gain_i > 0.0 && gain_j > 0.0);
-}
-
 /** Bits 0..i (inclusive) cleared: keeps only the j > i half. */
 inline std::uint64_t
 aboveDiagonalMask(std::size_t i_in_word)
@@ -29,43 +21,41 @@ aboveDiagonalMask(std::size_t i_in_word)
 }
 
 void
-checkShape(const DisutilityTable &table, std::size_t n)
+checkShape(const Disutility &d, std::size_t n)
 {
-    panicIf(table.agents() != n || table.candidates() != n,
-            "BlockingBounds: table is ", table.agents(), "x",
-            table.candidates(), ", matching has ", n, " agents");
+    panicIf(d.agents() != n, "BlockingBounds: disutility covers ",
+            d.agents(), " agents, matching has ", n);
 }
 
 } // namespace
 
 void
 BlockingBounds::deriveRow(const Matching &matching,
-                          const DisutilityTable &table, AgentId i,
+                          const Disutility &d, AgentId i,
                           std::uint64_t *row) const
 {
     if (!matching.isMatched(i))
         return; // running alone cannot be improved upon
-    // Same row prune as the table-backed scans: if even the row's
-    // best disutility cannot clear the threshold, no pair with i
-    // blocks (the test is symmetric, so this covers both sides).
-    const double best_gain = current_[i] - table.rowMin(i);
-    if (!(alpha_ > 0.0 ? best_gain >= alpha_ : best_gain > 0.0))
+    // Same row prune as the scans: if even the row's bound cannot
+    // clear the threshold, no pair with i blocks (the test is
+    // symmetric, so this covers both sides).
+    if (!clearsAlpha(current_[i] - d.rowBound(i), alpha_))
         return;
-    const double *ri = table.row(i);
     const AgentId partner = matching.partnerOf(i);
     for (AgentId j = 0; j < n_; ++j) {
         if (j == i || j == partner || !matching.isMatched(j))
             continue;
-        const double gain_i = current_[i] - ri[j];
-        const double gain_j = current_[j] - table(j, i);
-        if (clears(gain_i, gain_j, alpha_))
+        double gain_i = 0.0;
+        double gain_j = 0.0;
+        if (pairBlocks(d, i, j, current_[i], current_[j], alpha_,
+                       gain_i, gain_j))
             row[j / 64] |= std::uint64_t(1) << (j % 64);
     }
 }
 
 void
 BlockingBounds::rebuild(const Matching &matching,
-                        const DisutilityTable &table, double alpha,
+                        const Disutility &d, double alpha,
                         std::size_t threads)
 {
     const ScopedTimer timer("matching.blocking_bound_seconds");
@@ -73,21 +63,21 @@ BlockingBounds::rebuild(const Matching &matching,
     words_ = (n_ + 63) / 64;
     alpha_ = alpha;
     if (n_ > 0)
-        checkShape(table, n_);
+        checkShape(d, n_);
 
     partner_.assign(n_, kUnmatched);
     current_.assign(n_, 0.0);
     parallelFor(0, n_, threads, [&](std::size_t i) {
         partner_[i] = matching.partnerOf(i);
         if (matching.isMatched(i))
-            current_[i] = table(i, partner_[i]);
+            current_[i] = d(i, partner_[i]);
     });
 
     bits_.assign(n_ * words_, 0);
     std::vector<std::size_t> row_count(n_, 0);
     parallelFor(0, n_, threads, [&](std::size_t i) {
         std::vector<std::uint64_t> row(words_, 0);
-        deriveRow(matching, table, i, row.data());
+        deriveRow(matching, d, i, row.data());
         // Store only the j > i half; the j < i bits are the mirror
         // pairs, owned by those rows.
         std::uint64_t *dst = bits_.data() + i * words_;
@@ -113,16 +103,16 @@ BlockingBounds::rebuild(const Matching &matching,
 
 void
 BlockingBounds::update(const Matching &matching,
-                       const DisutilityTable &table, double alpha,
+                       const Disutility &d, double alpha,
                        const std::vector<AgentId> &dirty_rows,
                        std::size_t threads)
 {
     if (!ready_ || matching.size() != n_ || alpha != alpha_) {
-        rebuild(matching, table, alpha, threads);
+        rebuild(matching, d, alpha, threads);
         return;
     }
     const ScopedTimer timer("matching.blocking_bound_seconds");
-    checkShape(table, n_);
+    checkShape(d, n_);
 
     std::vector<std::uint8_t> is_dirty(n_, 0);
     for (AgentId a : dirty_rows) {
@@ -153,14 +143,14 @@ BlockingBounds::update(const Matching &matching,
     for (AgentId i : dirty) {
         partner_[i] = matching.partnerOf(i);
         current_[i] =
-            matching.isMatched(i) ? table(i, partner_[i]) : 0.0;
+            matching.isMatched(i) ? d(i, partner_[i]) : 0.0;
     }
 
     // Stage 2: re-derive each dirty row against ALL other agents into
     // a scratch buffer (pure reads, safe in parallel).
     std::vector<std::uint64_t> rows(dirty.size() * words_, 0);
     parallelFor(0, dirty.size(), threads, [&](std::size_t k) {
-        deriveRow(matching, table, dirty[k], rows.data() + k * words_);
+        deriveRow(matching, d, dirty[k], rows.data() + k * words_);
     });
 
     // Stage 3: apply serially. A pair shared by two dirty agents is
@@ -194,11 +184,11 @@ BlockingBounds::update(const Matching &matching,
 }
 
 std::optional<BlockingPair>
-BlockingBounds::first(const DisutilityTable &table) const
+BlockingBounds::first(const Disutility &d) const
 {
     panicIf(!ready_, "BlockingBounds::first: not built");
     if (n_ > 0)
-        checkShape(table, n_);
+        checkShape(d, n_);
     for (AgentId i = 0; i < n_; ++i) {
         const std::uint64_t *row = bits_.data() + i * words_;
         for (std::size_t w = i / 64; w < words_; ++w) {
@@ -207,8 +197,8 @@ BlockingBounds::first(const DisutilityTable &table) const
                 const AgentId j =
                     w * 64 + static_cast<std::size_t>(
                                  std::countr_zero(word));
-                return BlockingPair{i, j, current_[i] - table(i, j),
-                                    current_[j] - table(j, i)};
+                return BlockingPair{i, j, current_[i] - d(i, j),
+                                    current_[j] - d(j, i)};
             }
         }
     }
@@ -216,11 +206,11 @@ BlockingBounds::first(const DisutilityTable &table) const
 }
 
 std::vector<BlockingPair>
-BlockingBounds::pairs(const DisutilityTable &table) const
+BlockingBounds::pairs(const Disutility &d) const
 {
     panicIf(!ready_, "BlockingBounds::pairs: not built");
     if (n_ > 0)
-        checkShape(table, n_);
+        checkShape(d, n_);
     std::vector<BlockingPair> out;
     out.reserve(count_);
     for (AgentId i = 0; i < n_; ++i) {
@@ -233,8 +223,8 @@ BlockingBounds::pairs(const DisutilityTable &table) const
                                  std::countr_zero(word));
                 word &= word - 1;
                 out.push_back(
-                    BlockingPair{i, j, current_[i] - table(i, j),
-                                 current_[j] - table(j, i)});
+                    BlockingPair{i, j, current_[i] - d(i, j),
+                                 current_[j] - d(j, i)});
             }
         }
     }

@@ -31,13 +31,12 @@
 #include <vector>
 
 #include "matching/blocking.hh"
-#include "matching/disutility.hh"
 #include "matching/matching.hh"
 
 namespace cooper {
 
 /**
- * Pair-status bitset over a matching plus a disutility table,
+ * Pair-status bitset over a matching plus a disutility view,
  * refreshable in O(dirty agents * n).
  */
 class BlockingBounds
@@ -56,17 +55,17 @@ class BlockingBounds
 
     /**
      * Full O(n^2) rescan of every pair against `matching` and
-     * `table`. The fill parallelizes over first-agent rows exactly
+     * `d`. The fill parallelizes over first-agent rows exactly
      * like the blocking.hh scans; the resulting bitset is identical
      * for any thread count.
      */
-    void rebuild(const Matching &matching, const DisutilityTable &table,
+    void rebuild(const Matching &matching, const Disutility &d,
                  double alpha, std::size_t threads = 1);
 
     /**
      * Incremental refresh after a batch of changes.
      *
-     * `dirty_rows` lists the agents whose table rows changed since
+     * `dirty_rows` lists the agents whose disutility rows changed since
      * the last rebuild/update (duplicates are fine); agents whose
      * partner differs from the snapshot are picked up internally.
      * Every pair touching a dirty agent is re-derived; pairs between
@@ -74,7 +73,7 @@ class BlockingBounds
      * reads nothing else. Falls back to rebuild() when not ready or
      * when the agent count or alpha changed.
      */
-    void update(const Matching &matching, const DisutilityTable &table,
+    void update(const Matching &matching, const Disutility &d,
                 double alpha, const std::vector<AgentId> &dirty_rows,
                 std::size_t threads = 1);
 
@@ -83,14 +82,14 @@ class BlockingBounds
 
     /**
      * First blocking pair in scan order (ascending i, then ascending
-     * j > i), gains recomputed from `table`; equals firstBlockingPair.
+     * j > i), gains recomputed from `d`; equals firstBlockingPair.
      */
     std::optional<BlockingPair>
-    first(const DisutilityTable &table) const;
+    first(const Disutility &d) const;
 
     /** All blocking pairs in scan order; equals findBlockingPairs. */
     std::vector<BlockingPair>
-    pairs(const DisutilityTable &table) const;
+    pairs(const Disutility &d) const;
 
     /** Agents re-derived by the last rebuild()/update(); 0 after a
      *  no-change update — the quiet-epoch fast path. */
@@ -111,7 +110,7 @@ class BlockingBounds
     /** Recompute one row's statuses into `row` (words_ words, zeroed
      *  by the caller): bit j set iff (i, j) blocks, for ALL j != i. */
     void deriveRow(const Matching &matching,
-                   const DisutilityTable &table, AgentId i,
+                   const Disutility &d, AgentId i,
                    std::uint64_t *row) const;
 
     bool ready_ = false;

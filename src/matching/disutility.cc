@@ -3,54 +3,36 @@
 #include <algorithm>
 
 #include "util/error.hh"
-#include "util/thread_pool.hh"
 
 namespace cooper {
 
-DisutilityTable::DisutilityTable(std::size_t agents,
-                                 std::size_t candidates,
-                                 const DisutilityFn &fn,
-                                 std::size_t threads)
-    : agents_(agents), candidates_(candidates),
-      data_(agents * candidates, 0.0), rowMin_(agents, 0.0)
+Disutility::Disutility(std::vector<std::uint32_t> types,
+                       std::size_t type_count,
+                       std::vector<double> matrix, double jitter)
+    : types_(std::move(types)), typeCount_(type_count),
+      matrix_(std::move(matrix)), jitter_(jitter)
 {
-    fatalIf(agents == 0 || candidates == 0,
-            "DisutilityTable: empty shape ", agents, "x", candidates);
-    // Row r is written by exactly one iteration.
-    parallelFor(0, agents_, threads, [&](std::size_t a) {
-        double *row = data_.data() + a * candidates_;
-        for (std::size_t b = 0; b < candidates_; ++b)
-            row[b] = fn(a, b);
-        rowMin_[a] = *std::min_element(row, row + candidates_);
-    });
-}
-
-void
-DisutilityTable::refreshRows(const std::vector<AgentId> &rows,
-                             const DisutilityFn &fn,
-                             std::size_t threads)
-{
-    fatalIf(empty(), "DisutilityTable::refreshRows: table not built");
-    // Deduplicate so a row is written by exactly one iteration.
-    std::vector<AgentId> todo(rows);
-    std::sort(todo.begin(), todo.end());
-    todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
-    fatalIf(!todo.empty() && todo.back() >= agents_,
-            "DisutilityTable::refreshRows: row ", todo.back(),
-            " out of range (", agents_, " agents)");
-    parallelFor(0, todo.size(), threads, [&](std::size_t k) {
-        const AgentId a = todo[k];
-        double *row = data_.data() + a * candidates_;
-        for (std::size_t b = 0; b < candidates_; ++b)
-            row[b] = fn(a, b);
-        rowMin_[a] = *std::min_element(row, row + candidates_);
-    });
-}
-
-DisutilityFn
-DisutilityTable::fn() const
-{
-    return [this](AgentId a, AgentId b) { return (*this)(a, b); };
+    fatalIf(matrix_.size() != typeCount_ * typeCount_,
+            "Disutility: matrix holds ", matrix_.size(),
+            " values, expected ", typeCount_, "^2");
+    fatalIf(jitter_ < 0.0, "Disutility: negative jitter ", jitter_);
+    std::vector<std::uint8_t> present(typeCount_, 0);
+    for (std::uint32_t t : types_) {
+        fatalIf(t >= typeCount_, "Disutility: type ", t, " out of range (",
+                typeCount_, " types)");
+        present[t] = 1;
+    }
+    rowBound_.assign(typeCount_, 0.0);
+    for (std::size_t t = 0; t < typeCount_; ++t) {
+        bool any = false;
+        for (std::size_t u = 0; u < typeCount_; ++u) {
+            if (!present[u])
+                continue;
+            const double m = matrix_[t * typeCount_ + u];
+            rowBound_[t] = any ? std::min(rowBound_[t], m) : m;
+            any = true;
+        }
+    }
 }
 
 } // namespace cooper

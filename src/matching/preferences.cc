@@ -11,28 +11,6 @@ namespace {
 
 constexpr std::size_t kNoRank = std::numeric_limits<std::size_t>::max();
 
-/**
- * Sort one agent's candidate list by precomputed keys. The comparator
- * reads two doubles instead of calling the disutility oracle twice per
- * comparison, turning O(n log n) oracle calls per agent into O(n);
- * stable_sort on identical key values yields the identical order.
- */
-std::vector<AgentId>
-orderByKeys(AgentId self, std::size_t candidates,
-            const double *keys, bool exclude_self)
-{
-    std::vector<AgentId> list;
-    list.reserve(candidates);
-    for (AgentId j = 0; j < candidates; ++j)
-        if (!(exclude_self && j == self))
-            list.push_back(j);
-    std::stable_sort(list.begin(), list.end(),
-                     [&](AgentId a, AgentId b) {
-                         return keys[a] < keys[b];
-                     });
-    return list;
-}
-
 } // namespace
 
 PreferenceProfile::PreferenceProfile(
@@ -54,30 +32,30 @@ PreferenceProfile::PreferenceProfile(
 }
 
 PreferenceProfile
-PreferenceProfile::fromDisutility(
-    std::size_t agents, std::size_t candidates,
-    const std::function<double(AgentId, AgentId)> &disutility,
-    bool exclude_self)
+PreferenceProfile::fromDisutility(const Disutility &d,
+                                  std::span<const AgentId> agents,
+                                  std::span<const AgentId> candidates)
 {
-    std::vector<std::vector<AgentId>> lists(agents);
-    std::vector<double> keys(candidates, 0.0);
-    for (AgentId i = 0; i < agents; ++i) {
-        for (AgentId j = 0; j < candidates; ++j)
-            keys[j] = disutility(i, j);
-        lists[i] = orderByKeys(i, candidates, keys.data(), exclude_self);
+    std::vector<std::vector<AgentId>> lists(agents.size());
+    std::vector<double> keys(candidates.size(), 0.0);
+    for (AgentId i = 0; i < agents.size(); ++i) {
+        std::vector<AgentId> &list = lists[i];
+        list.reserve(candidates.size());
+        for (AgentId j = 0; j < candidates.size(); ++j) {
+            if (candidates[j] == agents[i])
+                continue;
+            keys[j] = d(agents[i], candidates[j]);
+            list.push_back(j);
+        }
+        // Comparing precomputed keys evaluates d once per candidate;
+        // the stable sort over ascending j breaks exact ties toward
+        // the lower id.
+        std::stable_sort(list.begin(), list.end(),
+                         [&](AgentId a, AgentId b) {
+                             return keys[a] < keys[b];
+                         });
     }
-    return PreferenceProfile(std::move(lists), candidates);
-}
-
-PreferenceProfile
-PreferenceProfile::fromTable(const DisutilityTable &table,
-                             bool exclude_self)
-{
-    std::vector<std::vector<AgentId>> lists(table.agents());
-    for (AgentId i = 0; i < table.agents(); ++i)
-        lists[i] = orderByKeys(i, table.candidates(), table.row(i),
-                               exclude_self);
-    return PreferenceProfile(std::move(lists), table.candidates());
+    return PreferenceProfile(std::move(lists), candidates.size());
 }
 
 std::size_t

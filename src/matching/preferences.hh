@@ -10,7 +10,7 @@
 #ifndef COOPER_MATCHING_PREFERENCES_HH
 #define COOPER_MATCHING_PREFERENCES_HH
 
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "matching/disutility.hh"
@@ -41,27 +41,15 @@ class PreferenceProfile
                       std::size_t candidates);
 
     /**
-     * Build from a disutility function: agent i ranks candidate j by
-     * increasing disutility(i, j), excluding self when
-     * `exclude_self`. Ties break toward the lower candidate id.
-     *
-     * @param agents Number of agents.
-     * @param candidates Number of candidates.
-     * @param disutility d(agent, candidate).
-     * @param exclude_self Omit candidate == agent (roommates setting).
+     * Rank by disutility: local agent i ranks local candidate j by
+     * increasing d(agents[i], candidates[j]), ties toward the lower j.
+     * An agent never ranks itself: a candidate with the same global id
+     * is left off its list. Pass the same id list twice for the
+     * roommates setting, two disjoint sides for marriage.
      */
     static PreferenceProfile
-    fromDisutility(std::size_t agents, std::size_t candidates,
-                   const std::function<double(AgentId, AgentId)> &disutility,
-                   bool exclude_self);
-
-    /**
-     * Build from a memoized disutility table: same ordering contract
-     * as fromDisutility, but the sort keys come straight from the
-     * table's rows instead of per-comparison oracle calls.
-     */
-    static PreferenceProfile fromTable(const DisutilityTable &table,
-                                       bool exclude_self);
+    fromDisutility(const Disutility &d, std::span<const AgentId> agents,
+                   std::span<const AgentId> candidates);
 
     std::size_t agents() const { return lists_.size(); }
     std::size_t candidates() const { return candidates_; }

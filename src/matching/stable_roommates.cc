@@ -273,14 +273,15 @@ class RoommateEngine
     bool failed_ = false;
 };
 
-/**
- * Shared adapted-roommates body; D is any pure d(a, b) callable (the
- * std::function oracle or the memoized table).
- */
-template <typename D>
+} // namespace
+
 RoommatesResult
-adaptedRoommatesImpl(const PreferenceProfile &prefs, const D &disutility)
+adaptedRoommates(const PreferenceProfile &prefs,
+                 const Disutility &disutility)
 {
+    fatalIf(disutility.agents() != prefs.agents(),
+            "adaptedRoommates: disutility covers ", disutility.agents(),
+            " agents, preferences cover ", prefs.agents());
     const ScopedTimer timer("matching.roommates_seconds");
     RoommatesResult result;
     RoommateEngine engine(prefs, /*strict=*/false);
@@ -328,8 +329,6 @@ adaptedRoommatesImpl(const PreferenceProfile &prefs, const D &disutility)
     return result;
 }
 
-} // namespace
-
 std::optional<Matching>
 stableRoommates(const PreferenceProfile &prefs)
 {
@@ -356,22 +355,6 @@ stableRoommates(const PreferenceProfile &prefs)
     if (!m.isPerfect())
         return std::nullopt;
     return m;
-}
-
-RoommatesResult
-adaptedRoommates(
-    const PreferenceProfile &prefs,
-    const std::function<double(AgentId, AgentId)> &disutility)
-{
-    return adaptedRoommatesImpl(prefs, disutility);
-}
-
-RoommatesResult
-adaptedRoommates(const PreferenceProfile &prefs,
-                 const DisutilityTable &disutility)
-{
-    return adaptedRoommatesImpl(
-        prefs, [&](AgentId a, AgentId b) { return disutility(a, b); });
 }
 
 } // namespace cooper

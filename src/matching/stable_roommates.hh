@@ -15,7 +15,6 @@
 #ifndef COOPER_MATCHING_STABLE_ROOMMATES_HH
 #define COOPER_MATCHING_STABLE_ROOMMATES_HH
 
-#include <functional>
 #include <optional>
 
 #include "matching/disutility.hh"
@@ -58,13 +57,8 @@ std::optional<Matching> stableRoommates(const PreferenceProfile &prefs);
  * @param prefs Complete preference lists over all other agents.
  * @param disutility d(agent, partner) used for the greedy fallback.
  */
-RoommatesResult
-adaptedRoommates(const PreferenceProfile &prefs,
-                 const std::function<double(AgentId, AgentId)> &disutility);
-
-/** Memoized variant: greedy fallback reads the table directly. */
 RoommatesResult adaptedRoommates(const PreferenceProfile &prefs,
-                                 const DisutilityTable &disutility);
+                                 const Disutility &disutility);
 
 } // namespace cooper
 

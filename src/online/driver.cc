@@ -1,7 +1,6 @@
 #include "driver.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <ostream>
@@ -11,6 +10,7 @@
 #include "coalition/formation.hh"
 #include "obs/obs.hh"
 #include "sim/profiler.hh"
+#include "util/atomic_file.hh"
 #include "util/error.hh"
 
 namespace cooper {
@@ -306,8 +306,6 @@ OnlineDriver::formEpoch(const ColocationInstance &instance,
     types.reserve(live_.size());
     for (const LiveJob &job : live_)
         types.push_back(job.type);
-    const DisutilityTable believed = instance.believedTable(threads);
-
     const CoalitionStructure carried = carriedStructure();
 
     FormationConfig formation;
@@ -318,7 +316,8 @@ OnlineDriver::formEpoch(const ColocationInstance &instance,
     // never reads; the bench and tests exercise it instead.
     formation.shapleySamples = 0;
     const FormationResult result = formCoalitions(
-        types, believed, *model_, formation, rng, &carried);
+        types, instance.believedView(), *model_, formation, rng,
+        &carried);
 
     stats.blockingBefore = result.blockingBefore;
     stats.blockingAfter = result.blockingAfter;
@@ -391,17 +390,14 @@ OnlineDriver::repairIncremental(const ColocationInstance &instance,
 
     // Diff against the previous epoch. A believed-disutility entry
     // d(a, b) is believed(type_a, type_b) plus a jitter that depends
-    // only on the indices (a, b), so row a of the table changes only
-    // when slot a holds a different job or the believed row of a's
-    // type was re-predicted. A changed slot b also perturbs every
-    // other row's b-th column — the pairs touching b, which the
-    // bounds rescan via b's own dirtiness — so the cached table can
-    // only be refreshed row-wise when no slot moved.
-    const bool same_population = lastUids_.size() == n &&
-                                 believedTable_.agents() == n &&
-                                 lastBelieved_.size() == ntypes;
+    // only on the indices (a, b), so row a changes only when slot a
+    // holds a different job or the believed row of a's type was
+    // re-predicted. A changed slot b also changes every other row's
+    // b-th column — the pairs touching b, which the bounds rescan via
+    // b's own dirtiness.
+    const bool same_population =
+        lastUids_.size() == n && lastBelieved_.size() == ntypes;
     std::vector<AgentId> dirty;
-    bool any_slot_changed = false;
     if (same_population) {
         std::vector<std::uint8_t> type_row_changed(ntypes, 0);
         for (std::size_t t1 = 0; t1 < ntypes; ++t1)
@@ -410,30 +406,14 @@ OnlineDriver::repairIncremental(const ColocationInstance &instance,
                     type_row_changed[t1] = 1;
                     break;
                 }
-        for (AgentId i = 0; i < n; ++i) {
-            if (live_[i].uid != lastUids_[i]) {
+        for (AgentId i = 0; i < n; ++i)
+            if (live_[i].uid != lastUids_[i] ||
+                type_row_changed[live_[i].type])
                 dirty.push_back(i);
-                any_slot_changed = true;
-            } else if (type_row_changed[live_[i].type]) {
-                dirty.push_back(i);
-            }
-        }
-    }
-
-    if (!same_population || any_slot_changed) {
-        believedTable_ = instance.believedTable(threads);
-    } else if (!dirty.empty()) {
-        believedTable_.refreshRows(
-            dirty,
-            [&instance](AgentId a, AgentId b) {
-                return instance.believedDisutility(a, b);
-            },
-            threads);
     }
 
     RepairOutcome out =
-        repairer_.repair(instance, previous, rng, threads,
-                         believedTable_, bounds_, dirty,
+        repairer_.repair(instance, previous, rng, threads, bounds_, dirty,
                          /*rebuild_bounds=*/!same_population);
 
     lastUids_.resize(n);
@@ -1058,7 +1038,6 @@ OnlineDriver::restore(const OnlineState &state)
     // the first epoch after a restore rebuilds it.
     lastUids_.clear();
     lastBelieved_ = PenaltyMatrix(0);
-    believedTable_ = DisutilityTable();
     bounds_.invalidate();
 }
 
@@ -1173,10 +1152,9 @@ writeOnlineSummary(std::ostream &os, const OnlineReport &report)
 void
 saveOnlineSummary(const std::string &path, const OnlineReport &report)
 {
-    std::ofstream out(path);
-    fatalIf(!out, "saveOnlineSummary: cannot open ", path);
-    writeOnlineSummary(out, report);
-    fatalIf(!out, "saveOnlineSummary: write to ", path, " failed");
+    writeFileAtomically(
+        path, [&](std::ostream &out) { writeOnlineSummary(out, report); },
+        "saveOnlineSummary");
 }
 
 } // namespace cooper

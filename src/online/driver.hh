@@ -53,7 +53,6 @@
 #include "core/framework.hh"
 #include "fault/plan.hh"
 #include "matching/blocking_incremental.hh"
-#include "matching/disutility.hh"
 #include "fault/quarantine.hh"
 #include "online/admission.hh"
 #include "online/events.hh"
@@ -393,12 +392,11 @@ class OnlineDriver
 
     /** Incremental-blocking caches (see repairIncremental): the
      *  previous epoch's uid-per-slot sequence and believed matrix
-     *  diff into the dirty-row set; the believed table and pair
-     *  bounds survive across epochs and refresh row-wise. Cleared by
-     *  restore() and population collapse — the next epoch rebuilds. */
+     *  diff into the dirty-row set; the pair bounds survive across
+     *  epochs and refresh row-wise. Cleared by restore() and
+     *  population collapse — the next epoch rebuilds. */
     std::vector<JobUid> lastUids_;
     PenaltyMatrix lastBelieved_{0};
-    DisutilityTable believedTable_;
     BlockingBounds bounds_;
 
     std::uint64_t epoch_ = 0;

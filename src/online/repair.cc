@@ -7,7 +7,6 @@
 
 #include "core/policies.hh"
 #include "matching/blocking.hh"
-#include "matching/disutility.hh"
 #include "obs/obs.hh"
 #include "util/error.hh"
 
@@ -35,17 +34,13 @@ RepairingPolicy::repair(const ColocationInstance &instance,
             "RepairingPolicy: previous matching covers ",
             previous.size(), " agents, instance has ",
             instance.agents());
-    const DisutilityTable believed = instance.believedTable(threads);
-    return repairImpl(instance, previous, rng, threads, believed,
-                      nullptr);
+    return repairImpl(instance, previous, rng, threads, nullptr);
 }
 
 RepairOutcome
 RepairingPolicy::repair(const ColocationInstance &instance,
                         const Matching &previous, Rng &rng,
-                        std::size_t threads,
-                        const DisutilityTable &believed,
-                        BlockingBounds &bounds,
+                        std::size_t threads, BlockingBounds &bounds,
                         const std::vector<AgentId> &dirty_rows,
                         bool rebuild_bounds) const
 {
@@ -55,22 +50,22 @@ RepairingPolicy::repair(const ColocationInstance &instance,
             "RepairingPolicy: previous matching covers ",
             previous.size(), " agents, instance has ",
             instance.agents());
+    const Disutility &believed = instance.believedView();
     if (rebuild_bounds)
         bounds.rebuild(previous, believed, alpha_, threads);
     else
         bounds.update(previous, believed, alpha_, dirty_rows, threads);
-    return repairImpl(instance, previous, rng, threads, believed,
-                      &bounds);
+    return repairImpl(instance, previous, rng, threads, &bounds);
 }
 
 RepairOutcome
 RepairingPolicy::repairImpl(const ColocationInstance &instance,
                             const Matching &previous, Rng &rng,
                             std::size_t threads,
-                            const DisutilityTable &believed,
                             BlockingBounds *bounds) const
 {
     const std::size_t n = instance.agents();
+    const Disutility &believed = instance.believedView();
 
     RepairOutcome out;
     const auto policy = makePolicy(policy_);
@@ -85,7 +80,7 @@ RepairingPolicy::repairImpl(const ColocationInstance &instance,
             return countBlockingPairs(matching, believed, alpha_,
                                       threads);
         // Partner churn from the repair is detected internally; the
-        // table did not change, so no rows are dirty.
+        // disutilities did not change, so no rows are dirty.
         bounds->update(matching, believed, alpha_, {}, threads);
         return bounds->count();
     };

@@ -22,7 +22,6 @@
 
 #include "core/instance.hh"
 #include "matching/blocking_incremental.hh"
-#include "matching/disutility.hh"
 #include "matching/matching.hh"
 #include "util/rng.hh"
 
@@ -80,7 +79,7 @@ class RepairingPolicy
      *
      * @param rng Random stream for the policy run (the driver hands
      *        an epoch-keyed substream so results replay exactly).
-     * @param threads Worker threads for the table fills and scans.
+     * @param threads Worker threads for the scans.
      */
     RepairOutcome repair(const ColocationInstance &instance,
                          const Matching &previous, Rng &rng,
@@ -88,32 +87,28 @@ class RepairingPolicy
 
     /**
      * Incremental-blocking variant: decisions identical to repair(),
-     * but the believed table is caller-owned (so it can be refreshed
-     * instead of rebuilt) and blocking pairs come from `bounds`
-     * instead of fresh O(n^2) scans.
+     * but blocking pairs come from `bounds` instead of fresh O(n^2)
+     * scans.
      *
-     * `believed` must equal instance.believedTable(); `dirty_rows`
-     * lists the agents whose believed rows changed since `bounds` was
-     * last consistent (ignored when `rebuild_bounds` forces a full
-     * rebuild — pass true whenever the agent population changed).
-     * On return `bounds` reflects the shipped matching against
-     * `believed`, ready for the next epoch's update.
+     * `dirty_rows` lists the agents whose believed rows changed since
+     * `bounds` was last consistent (ignored when `rebuild_bounds`
+     * forces a full rebuild — pass true whenever the agent population
+     * changed). On return `bounds` reflects the shipped matching
+     * against the instance's believed view, ready for the next
+     * epoch's update.
      */
     RepairOutcome repair(const ColocationInstance &instance,
                          const Matching &previous, Rng &rng,
-                         std::size_t threads,
-                         const DisutilityTable &believed,
-                         BlockingBounds &bounds,
+                         std::size_t threads, BlockingBounds &bounds,
                          const std::vector<AgentId> &dirty_rows,
                          bool rebuild_bounds) const;
 
   private:
     /** Shared repair flow; `bounds`, when non-null, must already
-     *  reflect (previous, believed) and is kept current. */
+     *  reflect (previous, believed view) and is kept current. */
     RepairOutcome repairImpl(const ColocationInstance &instance,
                              const Matching &previous, Rng &rng,
                              std::size_t threads,
-                             const DisutilityTable &believed,
                              BlockingBounds *bounds) const;
 
     std::string policy_;

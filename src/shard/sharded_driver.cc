@@ -1,11 +1,11 @@
 #include "sharded_driver.hh"
 
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <utility>
 
 #include "obs/obs.hh"
+#include "util/atomic_file.hh"
 #include "util/error.hh"
 #include "util/thread_pool.hh"
 
@@ -396,10 +396,9 @@ writeShardedSummary(std::ostream &os, const ShardedReport &report)
 void
 saveShardedSummary(const std::string &path, const ShardedReport &report)
 {
-    std::ofstream out(path);
-    fatalIf(!out, "saveShardedSummary: cannot open ", path);
-    writeShardedSummary(out, report);
-    fatalIf(!out, "saveShardedSummary: write to ", path, " failed");
+    writeFileAtomically(
+        path, [&](std::ostream &out) { writeShardedSummary(out, report); },
+        "saveShardedSummary");
 }
 
 } // namespace cooper

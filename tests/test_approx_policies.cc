@@ -85,9 +85,7 @@ TEST_F(ApproxPolicyTest, TypeMatchMoreStableThanGreedy)
     Rng rng_tm(1), rng_gr(1);
     const Matching tm = TypeMatchPolicy().assign(instance, rng_tm);
     const Matching gr = GreedyPolicy().assign(instance, rng_gr);
-    const DisutilityFn d = [&](AgentId a, AgentId b) {
-        return instance.trueDisutility(a, b);
-    };
+    const Disutility &d = instance.trueView();
     // Type-level matching approximates stable matching: fewer
     // blocking pairs than the contention-greedy baseline.
     EXPECT_LT(countBlockingPairs(tm, d, 0.01),

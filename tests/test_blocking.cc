@@ -11,7 +11,7 @@
 namespace cooper {
 namespace {
 
-/** 4-agent disutility table from the Figure 2 discussion. */
+/** 4-agent disutilities from the Figure 2 discussion. */
 class BlockingTest : public ::testing::Test
 {
   protected:
@@ -25,7 +25,8 @@ class BlockingTest : public ::testing::Test
         {0.05, 0.08, 0.12, 0.00}, // D
     };
 
-    static double disutility(AgentId a, AgentId b) { return d_[a][b]; }
+    const Disutility disutility = Disutility::tabulate(
+        4, [](AgentId a, AgentId b) { return d_[a][b]; });
 };
 
 TEST_F(BlockingTest, PerformanceOptimalPairingHasBlockingPair)

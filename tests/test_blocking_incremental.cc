@@ -4,7 +4,7 @@
  * bounds (matching/blocking_incremental.hh).
  *
  * The contract is exact equivalence with the full O(n^2) scans: after
- * ANY sequence of table-row churn, re-pairings, and quiet epochs, the
+ * ANY sequence of disutility-row churn, re-pairings, and quiet epochs, the
  * bounds' count / first / pairs answer precisely what
  * countBlockingPairs / firstBlockingPair / findBlockingPairs would —
  * same pairs, same scan order, bit-identical gains — at any thread
@@ -39,15 +39,14 @@ namespace {
 
 const std::size_t kThreadCounts[] = {1, 2, 8};
 
-/** Mutable penalty matrix + the table/matching views over it. The fn
- *  reads the live penalties, so refreshRows() after an edit brings the
- *  table back in sync exactly as a full rebuild would. */
+/** Mutable penalty matrix + the disutility/matching views over it;
+ *  refresh() re-reads the live penalties after an edit. */
 struct ChurnFixture
 {
     std::size_t n = 0;
     std::vector<std::vector<double>> penalty;
     Matching matching{0};
-    DisutilityTable table;
+    Disutility view;
 
     ChurnFixture(std::size_t agents, Rng &rng) : n(agents)
     {
@@ -60,27 +59,28 @@ struct ChurnFixture
         // Leave ~n/8 agents unmatched to exercise that branch.
         for (std::size_t i = 0; i + 1 < n - n / 8; i += 2)
             matching.pair(order[i], order[i + 1]);
-        table = DisutilityTable(n, n, fn());
+        refresh();
     }
 
-    DisutilityFn fn() const
+    void refresh()
     {
-        return [this](AgentId a, AgentId b) { return penalty[a][b]; };
+        view = Disutility::tabulate(
+            n, [this](AgentId a, AgentId b) { return penalty[a][b]; });
     }
 };
 
 /** The bounds' answers must equal the scans' answers exactly. */
 void
 expectMatchesScan(BlockingBounds &bounds, const Matching &matching,
-                  const DisutilityTable &table, double alpha,
+                  const Disutility &view, double alpha,
                   std::size_t threads, const std::string &context)
 {
     SCOPED_TRACE(context);
-    const auto scan = findBlockingPairs(matching, table, alpha, threads);
+    const auto scan = findBlockingPairs(matching, view, alpha, threads);
     EXPECT_EQ(scan.size(),
-              countBlockingPairs(matching, table, alpha, threads));
+              countBlockingPairs(matching, view, alpha, threads));
     EXPECT_EQ(scan.size(), bounds.count());
-    const auto via_bounds = bounds.pairs(table);
+    const auto via_bounds = bounds.pairs(view);
     ASSERT_EQ(scan.size(), via_bounds.size());
     for (std::size_t i = 0; i < scan.size(); ++i) {
         EXPECT_EQ(scan[i].a, via_bounds[i].a) << "pair " << i;
@@ -88,8 +88,8 @@ expectMatchesScan(BlockingBounds &bounds, const Matching &matching,
         EXPECT_EQ(scan[i].gainA, via_bounds[i].gainA) << "pair " << i;
         EXPECT_EQ(scan[i].gainB, via_bounds[i].gainB) << "pair " << i;
     }
-    const auto first_scan = firstBlockingPair(matching, table, alpha);
-    const auto first_bounds = bounds.first(table);
+    const auto first_scan = firstBlockingPair(matching, view, alpha);
+    const auto first_bounds = bounds.first(view);
     ASSERT_EQ(first_scan.has_value(), first_bounds.has_value());
     if (first_scan.has_value()) {
         EXPECT_EQ(first_scan->a, first_bounds->a);
@@ -105,20 +105,20 @@ TEST(BlockingBounds, RebuildMatchesFullScan)
     for (int round = 0; round < 5; ++round) {
         const std::size_t n = 10 + (round * 17) % 53;
         const ChurnFixture fx(n, rng);
-        // Alpha sweep includes values high enough for the rowMin
-        // pruning bound to skip most rows.
+        // Alpha sweep includes values high enough for the row bound
+        // to skip most rows.
         for (double alpha : {0.0, 0.02, 0.2}) {
             for (std::size_t threads : kThreadCounts) {
                 BlockingBounds bounds;
                 EXPECT_FALSE(bounds.ready());
-                bounds.rebuild(fx.matching, fx.table, alpha, threads);
+                bounds.rebuild(fx.matching, fx.view, alpha, threads);
                 EXPECT_TRUE(bounds.ready());
                 EXPECT_EQ(bounds.agents(), n);
                 EXPECT_EQ(bounds.lastRescanned(), n);
                 std::ostringstream ctx;
                 ctx << "round " << round << " alpha " << alpha
                     << " threads " << threads;
-                expectMatchesScan(bounds, fx.matching, fx.table, alpha,
+                expectMatchesScan(bounds, fx.matching, fx.view, alpha,
                                   threads, ctx.str());
             }
         }
@@ -127,7 +127,7 @@ TEST(BlockingBounds, RebuildMatchesFullScan)
 
 TEST(BlockingBounds, ChurnSequenceStaysExactAtEveryStep)
 {
-    // The tentpole property: interleave table-row churn, partner
+    // The core property: interleave disutility-row churn, partner
     // churn, and quiet epochs; the incremental bounds must equal the
     // from-scratch scans after every single step.
     for (std::size_t threads : kThreadCounts) {
@@ -135,14 +135,14 @@ TEST(BlockingBounds, ChurnSequenceStaysExactAtEveryStep)
             Rng rng(920 + threads);
             ChurnFixture fx(37, rng);
             BlockingBounds bounds;
-            bounds.rebuild(fx.matching, fx.table, alpha, threads);
+            bounds.rebuild(fx.matching, fx.view, alpha, threads);
             for (int step = 0; step < 60; ++step) {
                 std::vector<AgentId> dirty;
                 const double move = rng.uniform();
                 if (move < 0.35) {
                     // Re-randomize a few penalty rows (a profile
                     // refresh): rows i change, columns keep their old
-                    // values toward i — exactly the table's row
+                    // values toward i — exactly the dirty-row
                     // granularity.
                     const std::size_t count = 1 + step % 3;
                     for (std::size_t k = 0; k < count; ++k) {
@@ -155,7 +155,7 @@ TEST(BlockingBounds, ChurnSequenceStaysExactAtEveryStep)
                     // Duplicates in the dirty list must be harmless.
                     if (!dirty.empty() && step % 4 == 0)
                         dirty.push_back(dirty.front());
-                    fx.table.refreshRows(dirty, fx.fn(), threads);
+                    fx.refresh();
                 } else if (move < 0.7) {
                     // Partner churn: break a matched pair and/or form
                     // a new one. No dirty rows — the bounds detect
@@ -175,7 +175,7 @@ TEST(BlockingBounds, ChurnSequenceStaysExactAtEveryStep)
                                          free_agents.back());
                 }
                 // else: a quiet epoch — nothing changed at all.
-                bounds.update(fx.matching, fx.table, alpha, dirty,
+                bounds.update(fx.matching, fx.view, alpha, dirty,
                               threads);
                 if (move >= 0.7) {
                     EXPECT_EQ(bounds.lastRescanned(), 0u)
@@ -184,7 +184,7 @@ TEST(BlockingBounds, ChurnSequenceStaysExactAtEveryStep)
                 std::ostringstream ctx;
                 ctx << "threads " << threads << " alpha " << alpha
                     << " step " << step << " move " << move;
-                expectMatchesScan(bounds, fx.matching, fx.table, alpha,
+                expectMatchesScan(bounds, fx.matching, fx.view, alpha,
                                   threads, ctx.str());
             }
         }
@@ -196,9 +196,9 @@ TEST(BlockingBounds, QuietEpochRescansNothing)
     Rng rng(930);
     const ChurnFixture fx(24, rng);
     BlockingBounds bounds;
-    bounds.rebuild(fx.matching, fx.table, 0.0, 2);
+    bounds.rebuild(fx.matching, fx.view, 0.0, 2);
     const std::size_t count = bounds.count();
-    bounds.update(fx.matching, fx.table, 0.0, {}, 2);
+    bounds.update(fx.matching, fx.view, 0.0, {}, 2);
     EXPECT_EQ(bounds.lastRescanned(), 0u);
     EXPECT_EQ(bounds.count(), count);
 }
@@ -211,56 +211,56 @@ TEST(BlockingBounds, UpdateFallsBackToRebuildWhenStale)
 
     BlockingBounds bounds;
     // Not ready yet: the first update IS a rebuild.
-    bounds.update(small.matching, small.table, 0.0, {}, 2);
+    bounds.update(small.matching, small.view, 0.0, {}, 2);
     EXPECT_TRUE(bounds.ready());
     EXPECT_EQ(bounds.lastRescanned(), small.n);
-    expectMatchesScan(bounds, small.matching, small.table, 0.0, 2,
+    expectMatchesScan(bounds, small.matching, small.view, 0.0, 2,
                       "first update");
 
     // Alpha changed: every pair's threshold moved, so the incremental
     // path is invalid and the bounds must rescan everything.
-    bounds.update(small.matching, small.table, 0.1, {}, 2);
+    bounds.update(small.matching, small.view, 0.1, {}, 2);
     EXPECT_EQ(bounds.lastRescanned(), small.n);
-    expectMatchesScan(bounds, small.matching, small.table, 0.1, 2,
+    expectMatchesScan(bounds, small.matching, small.view, 0.1, 2,
                       "alpha change");
 
     // Population changed: same story.
-    bounds.update(big.matching, big.table, 0.1, {}, 2);
+    bounds.update(big.matching, big.view, 0.1, {}, 2);
     EXPECT_EQ(bounds.agents(), big.n);
-    expectMatchesScan(bounds, big.matching, big.table, 0.1, 2,
+    expectMatchesScan(bounds, big.matching, big.view, 0.1, 2,
                       "population change");
 
     // Explicit invalidation drops everything.
     bounds.invalidate();
     EXPECT_FALSE(bounds.ready());
-    bounds.update(big.matching, big.table, 0.1, {}, 2);
+    bounds.update(big.matching, big.view, 0.1, {}, 2);
     EXPECT_EQ(bounds.lastRescanned(), big.n);
-    expectMatchesScan(bounds, big.matching, big.table, 0.1, 2,
+    expectMatchesScan(bounds, big.matching, big.view, 0.1, 2,
                       "after invalidate");
 }
 
 TEST(BlockingBounds, HandlesTinyPopulations)
 {
-    // Fresh bounds cover nobody; DisutilityTable rejects 0x0, so the
-    // smallest buildable populations are n = 1 and n = 2.
+    // Fresh bounds cover nobody; rebuilt bounds must also handle the
+    // empty population and n = 1 and n = 2.
     {
         const BlockingBounds fresh;
         EXPECT_FALSE(fresh.ready());
         EXPECT_EQ(fresh.agents(), 0u);
         EXPECT_EQ(fresh.count(), 0u);
     }
-    const DisutilityFn zero = [](AgentId, AgentId) { return 0.0; };
-    for (std::size_t n : {1u, 2u}) {
+    for (std::size_t n : {0u, 1u, 2u}) {
         Matching matching(n);
         if (n == 2)
             matching.pair(0, 1);
-        const DisutilityTable table(n, n, zero);
+        const Disutility view = Disutility::tabulate(
+            n, [](AgentId, AgentId) { return 0.0; });
         BlockingBounds bounds;
-        bounds.rebuild(matching, table, 0.0, 2);
+        bounds.rebuild(matching, view, 0.0, 2);
         EXPECT_EQ(bounds.count(), 0u) << "n " << n;
-        EXPECT_FALSE(bounds.first(table).has_value()) << "n " << n;
-        EXPECT_TRUE(bounds.pairs(table).empty()) << "n " << n;
-        bounds.update(matching, table, 0.0, {}, 2);
+        EXPECT_FALSE(bounds.first(view).has_value()) << "n " << n;
+        EXPECT_TRUE(bounds.pairs(view).empty()) << "n " << n;
+        bounds.update(matching, view, 0.0, {}, 2);
         EXPECT_EQ(bounds.lastRescanned(), 0u) << "n " << n;
     }
 }

@@ -42,11 +42,11 @@ struct Fixture
     InterferenceModel model{catalog};
 };
 
-/** A sampled population plus its believed table and agent types. */
+/** A sampled population plus its believed view and agent types. */
 struct Population
 {
     ColocationInstance instance;
-    DisutilityTable believed;
+    Disutility believed;
     std::vector<JobTypeId> types;
 };
 
@@ -57,7 +57,7 @@ makePopulation(const Fixture &fx, std::size_t agents,
     Rng rng(seed);
     ColocationInstance instance = sampleInstance(
         fx.catalog, fx.model, agents, MixKind::Uniform, rng);
-    DisutilityTable believed = instance.believedTable();
+    Disutility believed = instance.believedView();
     std::vector<JobTypeId> types;
     types.reserve(agents);
     for (AgentId a = 0; a < agents; ++a)
@@ -165,7 +165,7 @@ TEST(CoalitionPrefs, AdditiveExtensionRestrictsToPairs)
                      pop.believed(0, 3) + pop.believed(0, 7));
 
     // Ranked candidates ascend by pairwise believed cost.
-    const std::vector<AgentId> ranked = prefs.rankedCandidates(0, 0);
+    const std::vector<AgentId> &ranked = prefs.rankedCandidates(0);
     ASSERT_EQ(ranked.size(), 11u);
     for (std::size_t i = 1; i < ranked.size(); ++i)
         EXPECT_LE(pop.believed(0, ranked[i - 1]),

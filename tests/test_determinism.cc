@@ -142,9 +142,8 @@ TEST(Determinism, BlockingPairsIdenticalAcrossThreadCounts)
         for (std::size_t i = 0; i < n; ++i)
             for (std::size_t j = 0; j < n; ++j)
                 penalty[i][j] = rng.uniform() * 0.3;
-        const DisutilityFn d = [&](AgentId a, AgentId b) {
-            return penalty[a][b];
-        };
+        const Disutility d = Disutility::tabulate(
+            n, [&](AgentId a, AgentId b) { return penalty[a][b]; });
         Matching m(n);
         const auto order = rng.permutation(n);
         for (std::size_t k = 0; k + 1 < n; k += 2)

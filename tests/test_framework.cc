@@ -67,12 +67,8 @@ TEST_F(FrameworkTest, MessageProtocolMatchesDirectBlockingCount)
     const EpochReport report = framework.runEpoch(pop);
 
     ColocationInstance instance = framework.buildInstance(pop);
-    const std::size_t direct = countBlockingPairs(
-        report.matching,
-        [&](AgentId a, AgentId b) {
-            return instance.trueDisutility(a, b);
-        },
-        0.0);
+    const std::size_t direct =
+        countBlockingPairs(report.matching, instance.trueView(), 0.0);
     EXPECT_EQ(report.blockingPairs, direct);
 }
 

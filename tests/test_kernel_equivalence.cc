@@ -1,7 +1,8 @@
 /**
  * @file
- * Property tests proving the packed/memoized kernel rewrites are
- * byte-identical to the seed implementations they replaced.
+ * Property tests proving the packed kernel rewrites and the pruned
+ * disutility-view scans are byte-identical to the seed implementations
+ * they replaced.
  *
  * The optimized similarity fill, predictor, and blocking scans promise
  * *exact* equality with the baselines in cf/knn_baseline and
@@ -11,10 +12,11 @@
  * gather order was unspecified) occur with probability zero.
  *
  * This file is also part of the `tsan` suite: at 8 threads the packed
- * fills, the staged prediction writes, and the table-backed scans are
+ * fills, the staged prediction writes, and the view-backed scans are
  * exactly the code ThreadSanitizer should vet.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "cf/knn_baseline.hh"
 #include "matching/blocking.hh"
 #include "matching/blocking_baseline.hh"
+#include "matching/blocking_incremental.hh"
 #include "matching/disutility.hh"
 #include "matching/preferences.hh"
 #include "matching/stable_roommates.hh"
@@ -237,13 +240,13 @@ TEST(KernelEquivalence, EdgeShapesMatchBaseline)
     }
 }
 
-/** Random even matching plus a continuous penalty table. */
+/** Random even matching plus continuous explicit penalties. */
 struct BlockingInstance
 {
     Matching matching{0};
     std::vector<std::vector<double>> penalty;
     DisutilityFn fn;
-    DisutilityTable table;
+    Disutility view;
 };
 
 BlockingInstance
@@ -262,8 +265,47 @@ randomBlockingInstance(std::size_t n, Rng &rng)
     // Leave a few agents unmatched to exercise that branch.
     for (std::size_t i = 0; i + 1 < n - n / 8; i += 2)
         out.matching.pair(order[i], order[i + 1]);
-    out.table = DisutilityTable(n, n, out.fn);
+    out.view = Disutility::tabulate(n, out.fn);
     return out;
+}
+
+void
+expectSamePairs(const std::vector<BlockingPair> &expect,
+                const std::vector<BlockingPair> &got)
+{
+    ASSERT_EQ(expect.size(), got.size());
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(expect[i].a, got[i].a) << "pair " << i;
+        EXPECT_EQ(expect[i].b, got[i].b) << "pair " << i;
+        EXPECT_TRUE(sameBits({expect[i].gainA}, {got[i].gainA}))
+            << "pair " << i;
+        EXPECT_TRUE(sameBits({expect[i].gainB}, {got[i].gainB}))
+            << "pair " << i;
+    }
+}
+
+/** The view's scans and BlockingBounds answer what the baseline
+ *  oracle scan answers, pair for pair and bit for bit. */
+void
+expectViewMatchesBaseline(const Matching &matching, const Disutility &d,
+                          const DisutilityFn &oracle, double alpha,
+                          std::size_t threads)
+{
+    const auto baseline =
+        baselineFindBlockingPairs(matching, oracle, alpha);
+    expectSamePairs(baseline,
+                    findBlockingPairs(matching, d, alpha, threads));
+    EXPECT_EQ(baseline.size(),
+              countBlockingPairs(matching, d, alpha, threads));
+    const auto first = firstBlockingPair(matching, d, alpha);
+    ASSERT_EQ(baseline.empty(), !first.has_value());
+    if (first.has_value())
+        expectSamePairs({baseline.front()}, {*first});
+
+    BlockingBounds bounds;
+    bounds.rebuild(matching, d, alpha, threads);
+    EXPECT_EQ(baseline.size(), bounds.count());
+    expectSamePairs(baseline, bounds.pairs(d));
 }
 
 TEST(KernelEquivalence, BlockingScanMatchesBaselineAcrossThreads)
@@ -272,127 +314,165 @@ TEST(KernelEquivalence, BlockingScanMatchesBaselineAcrossThreads)
     for (int round = 0; round < 6; ++round) {
         const std::size_t n = 12 + (round * 17) % 53;
         const BlockingInstance inst = randomBlockingInstance(n, rng);
-        // Alpha sweep includes values high enough for the rowMin
-        // pruning bound to skip most rows; the counts must not move.
-        for (double alpha : {0.0, 0.02, 0.2}) {
-            const auto baseline = baselineFindBlockingPairs(
-                inst.matching, inst.fn, alpha);
-            for (std::size_t threads : kThreadCounts) {
-                const auto via_fn = findBlockingPairs(
-                    inst.matching, inst.fn, alpha, threads);
-                const auto via_table = findBlockingPairs(
-                    inst.matching, inst.table, alpha, threads);
-                ASSERT_EQ(baseline.size(), via_fn.size());
-                ASSERT_EQ(baseline.size(), via_table.size());
-                for (std::size_t i = 0; i < baseline.size(); ++i) {
-                    EXPECT_EQ(baseline[i].a, via_table[i].a);
-                    EXPECT_EQ(baseline[i].b, via_table[i].b);
-                    EXPECT_EQ(baseline[i].gainA, via_table[i].gainA);
-                    EXPECT_EQ(baseline[i].gainB, via_table[i].gainB);
-                    EXPECT_EQ(baseline[i].a, via_fn[i].a);
-                    EXPECT_EQ(baseline[i].b, via_fn[i].b);
-                }
-                EXPECT_EQ(baseline.size(),
-                          countBlockingPairs(inst.matching, inst.fn,
-                                             alpha, threads));
-                EXPECT_EQ(baseline.size(),
-                          countBlockingPairs(inst.matching, inst.table,
-                                             alpha, threads));
-            }
-            const auto first_fn =
-                firstBlockingPair(inst.matching, inst.fn, alpha);
-            const auto first_table =
-                firstBlockingPair(inst.matching, inst.table, alpha);
-            ASSERT_EQ(baseline.empty(), !first_fn.has_value());
-            ASSERT_EQ(baseline.empty(), !first_table.has_value());
-            if (!baseline.empty()) {
-                EXPECT_EQ(baseline.front().a, first_fn->a);
-                EXPECT_EQ(baseline.front().b, first_fn->b);
-                EXPECT_EQ(baseline.front().a, first_table->a);
-                EXPECT_EQ(baseline.front().b, first_table->b);
-                EXPECT_EQ(baseline.front().gainA, first_table->gainA);
-                EXPECT_EQ(baseline.front().gainB, first_table->gainB);
+        // Alpha sweep includes values high enough for the row bound
+        // to skip most rows; the answers must not move.
+        for (double alpha : {0.0, 0.02, 0.2})
+            for (std::size_t threads : kThreadCounts)
+                expectViewMatchesBaseline(inst.matching, inst.view,
+                                          inst.fn, alpha, threads);
+    }
+}
+
+/** Independent restatement of the jitter formula: splitmix64 of the
+ *  ordered pair, top 53 bits scaled into [0, amplitude). */
+double
+referenceJitter(AgentId a, AgentId b, double amplitude)
+{
+    if (amplitude == 0.0)
+        return 0.0;
+    std::uint64_t z = ((std::uint64_t(a) << 32) ^
+                       (std::uint64_t(b) + 0x51ed2701)) +
+                      0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    return double(z >> 11) * 0x1.0p-53 * amplitude;
+}
+
+/** A random type-level view: `types` types over n agents, matrix
+ *  entries in [lo, lo + 0.4) (negative when lo < 0, as noisy CF
+ *  predictions can be). */
+Disutility
+randomTypeView(std::size_t n, std::size_t types, double lo,
+               double jitter, Rng &rng, std::vector<std::uint32_t> &who,
+               std::vector<double> &matrix)
+{
+    who.assign(n, 0);
+    for (auto &t : who)
+        t = std::uint32_t(rng.uniformInt(std::uint64_t(types)));
+    matrix.assign(types * types, 0.0);
+    for (double &m : matrix)
+        m = lo + 0.4 * rng.uniform();
+    return Disutility(who, types, matrix, jitter);
+}
+
+TEST(KernelEquivalence, DisutilityMatchesIndependentSplitmix)
+{
+    Rng rng(808);
+    for (double jitter : {0.0, 1e-4, 0.05}) {
+        std::vector<std::uint32_t> who;
+        std::vector<double> matrix;
+        const std::size_t n = 41;
+        const std::size_t types = 7;
+        const Disutility d =
+            randomTypeView(n, types, -0.1, jitter, rng, who, matrix);
+        EXPECT_EQ(d.agents(), n);
+        for (AgentId a = 0; a < n; ++a) {
+            for (AgentId b = 0; b < n; ++b) {
+                const double m = matrix[who[a] * types + who[b]];
+                const double expect = m + referenceJitter(a, b, jitter);
+                EXPECT_TRUE(sameBits({expect}, {d(a, b)}))
+                    << "jitter " << jitter << " pair " << a << "," << b;
+                EXPECT_TRUE(sameBits({m}, {d.typeLevel(a, b)}));
             }
         }
     }
 }
 
-TEST(KernelEquivalence, PreferenceProfileFromTableMatchesFromOracle)
+TEST(KernelEquivalence, DisutilityRowBoundIsSound)
 {
+    Rng rng(606);
+    std::vector<std::uint32_t> who;
+    std::vector<double> matrix;
+    const std::size_t n = 23;
+    const std::size_t types = 9;
+    const Disutility d =
+        randomTypeView(n, types, -0.2, 0.01, rng, who, matrix);
+    std::vector<bool> present(types, false);
+    for (std::uint32_t t : who)
+        present[t] = true;
+    for (AgentId a = 0; a < n; ++a) {
+        // Exactly the minimum of a's type row over the present types,
+        // and below every agent-level value in a's row.
+        double expect = 0.0;
+        bool any = false;
+        for (std::size_t t = 0; t < types; ++t) {
+            if (!present[t])
+                continue;
+            const double m = matrix[who[a] * types + t];
+            expect = any ? std::min(expect, m) : m;
+            any = true;
+        }
+        EXPECT_EQ(expect, d.rowBound(a)) << "agent " << a;
+        for (AgentId b = 0; b < n; ++b) {
+            EXPECT_LE(d.rowBound(a), d.typeLevel(a, b));
+            EXPECT_LE(d.typeLevel(a, b), d(a, b));
+        }
+    }
+}
+
+TEST(KernelEquivalence, ViewPruningExactWithNegativeEntries)
+{
+    // The type-level row and pair bounds skip work only where the
+    // answer provably cannot change; random believed matrices with
+    // negative entries, jitter large enough to reorder same-type
+    // co-runners, and a few unmatched agents must leave every answer
+    // identical to the unpruned seed scan.
+    Rng rng(909);
+    for (int round = 0; round < 8; ++round) {
+        const std::size_t n = 10 + (round * 23) % 70;
+        const std::size_t types = 2 + round % 6;
+        const double jitter = round % 2 == 0 ? 1e-4 : 0.03;
+        std::vector<std::uint32_t> who;
+        std::vector<double> matrix;
+        const Disutility d =
+            randomTypeView(n, types, -0.15, jitter, rng, who, matrix);
+        const DisutilityFn oracle = [&](AgentId a, AgentId b) {
+            return matrix[who[a] * types + who[b]] +
+                   referenceJitter(a, b, jitter);
+        };
+        Matching matching(n);
+        const auto order = rng.permutation(n);
+        for (std::size_t i = 0; i + 1 < n - n / 6; i += 2)
+            matching.pair(order[i], order[i + 1]);
+        for (double alpha : {0.0, 0.02})
+            for (std::size_t threads : {std::size_t(1), std::size_t(4)})
+                expectViewMatchesBaseline(matching, d, oracle, alpha,
+                                          threads);
+    }
+}
+
+TEST(KernelEquivalence, PreferenceProfileMatchesOracleSort)
+{
+    // fromDisutility must order each list exactly like sorting the
+    // candidates by (d, id) — the comparator the coalition scan
+    // relies on when it reuses the profile's lists.
     Rng rng(505);
     for (int round = 0; round < 4; ++round) {
         const std::size_t n = 5 + (round * 11) % 37;
-        std::vector<std::vector<double>> penalty(
-            n, std::vector<double>(n, 0.0));
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < n; ++j)
-                penalty[i][j] = rng.uniform();
-        const DisutilityFn fn = [&](AgentId a, AgentId b) {
-            return penalty[a][b];
-        };
-        const DisutilityTable table(n, n, fn);
-        for (bool exclude_self : {false, true}) {
-            const PreferenceProfile via_fn =
-                PreferenceProfile::fromDisutility(n, n, fn,
-                                                  exclude_self);
-            const PreferenceProfile via_table =
-                PreferenceProfile::fromTable(table, exclude_self);
-            ASSERT_EQ(via_fn.agents(), via_table.agents());
-            for (AgentId i = 0; i < n; ++i)
-                EXPECT_EQ(via_fn.list(i), via_table.list(i))
-                    << "agent " << i << " exclude_self "
-                    << exclude_self;
+        std::vector<std::uint32_t> who;
+        std::vector<double> matrix;
+        // Few types and zero jitter in odd rounds: many exact ties.
+        const Disutility d = randomTypeView(
+            n, 3, 0.0, round % 2 == 0 ? 1e-4 : 0.0, rng, who, matrix);
+        std::vector<AgentId> all(n);
+        for (AgentId a = 0; a < n; ++a)
+            all[a] = a;
+        const PreferenceProfile prefs =
+            PreferenceProfile::fromDisutility(d, all, all);
+        for (AgentId i = 0; i < n; ++i) {
+            std::vector<AgentId> expect;
+            for (AgentId j = 0; j < n; ++j)
+                if (j != i)
+                    expect.push_back(j);
+            std::sort(expect.begin(), expect.end(),
+                      [&](AgentId x, AgentId y) {
+                          return d(i, x) != d(i, y) ? d(i, x) < d(i, y)
+                                                    : x < y;
+                      });
+            EXPECT_EQ(expect, prefs.list(i)) << "agent " << i;
         }
     }
-}
-
-TEST(KernelEquivalence, DisutilityTableRowMinIsExact)
-{
-    Rng rng(606);
-    const std::size_t n = 23;
-    std::vector<std::vector<double>> penalty(
-        n, std::vector<double>(n, 0.0));
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            penalty[i][j] = rng.uniform();
-    for (std::size_t threads : kThreadCounts) {
-        const DisutilityTable table(
-            n, n,
-            [&](AgentId a, AgentId b) { return penalty[a][b]; },
-            threads);
-        for (AgentId a = 0; a < n; ++a) {
-            double expect = penalty[a][0];
-            for (std::size_t b = 1; b < n; ++b)
-                expect = std::min(expect, penalty[a][b]);
-            EXPECT_EQ(expect, table.rowMin(a)) << "agent " << a;
-            for (AgentId b = 0; b < n; ++b)
-                EXPECT_EQ(penalty[a][b], table(a, b));
-        }
-    }
-}
-
-TEST(KernelEquivalence, RoommatesTableOverloadMatchesOracleOverload)
-{
-    Rng rng(707);
-    const std::size_t n = 16;
-    std::vector<std::vector<double>> penalty(
-        n, std::vector<double>(n, 0.0));
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            penalty[i][j] = rng.uniform();
-    const DisutilityFn fn = [&](AgentId a, AgentId b) {
-        return penalty[a][b];
-    };
-    const DisutilityTable table(n, n, fn);
-    const PreferenceProfile prefs =
-        PreferenceProfile::fromTable(table, /*exclude_self=*/true);
-    const RoommatesResult via_fn = adaptedRoommates(prefs, fn);
-    const RoommatesResult via_table = adaptedRoommates(prefs, table);
-    for (AgentId a = 0; a < n; ++a)
-        EXPECT_EQ(via_fn.matching.partnerOf(a),
-                  via_table.matching.partnerOf(a));
-    EXPECT_EQ(via_fn.perfectlyStable, via_table.perfectlyStable);
-    EXPECT_EQ(via_fn.fallbackAgents, via_table.fallbackAgents);
 }
 
 } // namespace

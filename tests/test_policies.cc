@@ -28,14 +28,6 @@ class PolicyTest : public ::testing::Test
         Rng rng(seed);
         return sampleInstance(catalog_, model_, n, mix, rng);
     }
-
-    DisutilityFn
-    oracle(const ColocationInstance &instance)
-    {
-        return [&instance](AgentId a, AgentId b) {
-            return instance.trueDisutility(a, b);
-        };
-    }
 };
 
 TEST_F(PolicyTest, AllPoliciesProducePerfectMatchingsOnEvenPopulations)
@@ -142,7 +134,7 @@ TEST_F(PolicyTest, SrProducesFewerBlockingPairsThanGreedy)
     GreedyPolicy gr;
     const Matching sr_m = sr.assign(instance, rng_a);
     const Matching gr_m = gr.assign(instance, rng_b);
-    const auto d = oracle(instance);
+    const Disutility &d = instance.trueView();
     EXPECT_LT(countBlockingPairs(sr_m, d, 0.0),
               countBlockingPairs(gr_m, d, 0.0));
 }

@@ -44,22 +44,27 @@ TEST(PreferenceProfile, PartialListsSupported)
 
 TEST(PreferenceProfile, FromDisutilitySortsAscending)
 {
-    // Agent 0 dislikes candidate 2 most.
-    auto d = [](AgentId a, AgentId b) {
+    // Agents 0-1 rank candidates 2-4; agent 0 dislikes candidate 2
+    // (local id 2, global 4) most.
+    const Disutility d = Disutility::tabulate(5, [](AgentId a, AgentId b) {
         static const double table[2][3] = {{0.0, 0.1, 0.9},
                                            {0.5, 0.0, 0.2}};
-        return table[a][b];
-    };
+        return a < 2 && b >= 2 ? table[a][b - 2] : 0.0;
+    });
+    const std::vector<AgentId> agents{0, 1};
+    const std::vector<AgentId> candidates{2, 3, 4};
     const auto prefs =
-        PreferenceProfile::fromDisutility(2, 3, d, false);
+        PreferenceProfile::fromDisutility(d, agents, candidates);
     EXPECT_EQ(prefs.list(0), (std::vector<AgentId>{0, 1, 2}));
     EXPECT_EQ(prefs.list(1), (std::vector<AgentId>{1, 2, 0}));
 }
 
 TEST(PreferenceProfile, FromDisutilityExcludesSelf)
 {
-    auto d = [](AgentId, AgentId b) { return static_cast<double>(b); };
-    const auto prefs = PreferenceProfile::fromDisutility(3, 3, d, true);
+    const Disutility d = Disutility::tabulate(
+        3, [](AgentId, AgentId b) { return static_cast<double>(b); });
+    const std::vector<AgentId> all{0, 1, 2};
+    const auto prefs = PreferenceProfile::fromDisutility(d, all, all);
     for (AgentId i = 0; i < 3; ++i) {
         EXPECT_EQ(prefs.list(i).size(), 2u);
         EXPECT_FALSE(prefs.hasCandidate(i, i));
@@ -68,8 +73,11 @@ TEST(PreferenceProfile, FromDisutilityExcludesSelf)
 
 TEST(PreferenceProfile, TieBreaksTowardLowerId)
 {
-    auto d = [](AgentId, AgentId) { return 1.0; };
-    const auto prefs = PreferenceProfile::fromDisutility(1, 4, d, false);
+    const Disutility d =
+        Disutility::tabulate(5, [](AgentId, AgentId) { return 1.0; });
+    const std::vector<AgentId> agent{0};
+    const std::vector<AgentId> candidates{1, 2, 3, 4};
+    const auto prefs = PreferenceProfile::fromDisutility(d, agent, candidates);
     EXPECT_EQ(prefs.list(0), (std::vector<AgentId>{0, 1, 2, 3}));
 }
 

@@ -128,9 +128,7 @@ TEST_P(RoommatesVsGreedy, StableSideNeverWorse)
     const Matching sr =
         StableRoommatePolicy().assign(instance, rng_sr);
     const Matching gr = GreedyPolicy().assign(instance, rng_gr);
-    const DisutilityFn d = [&](AgentId a, AgentId b) {
-        return instance.trueDisutility(a, b);
-    };
+    const Disutility &d = instance.trueView();
     EXPECT_LE(countBlockingPairs(sr, d, 0.0),
               countBlockingPairs(gr, d, 0.0));
 }

@@ -33,9 +33,9 @@ TEST(RoommatesInstances, GusfieldIrvingEightAgent)
     }
     // Either way the adapted variant must produce a perfect matching.
     const RoommatesResult adapted = adaptedRoommates(
-        prefs, [&](AgentId a, AgentId b) {
-            return static_cast<double>(prefs.rankOf(a, b));
-        });
+        prefs, Disutility::tabulate(8, [&](AgentId a, AgentId b) {
+            return a == b ? 0.0 : static_cast<double>(prefs.rankOf(a, b));
+        }));
     EXPECT_TRUE(adapted.matching.isPerfect());
 }
 
@@ -86,7 +86,8 @@ TEST(RoommatesInstances, SixAgentUnsolvableOddParty)
     EXPECT_FALSE(stableRoommates(prefs).has_value());
     // Adapted mode still pairs everyone.
     const RoommatesResult adapted = adaptedRoommates(
-        prefs, [](AgentId, AgentId) { return 0.5; });
+        prefs,
+        Disutility::tabulate(6, [](AgentId, AgentId) { return 0.5; }));
     EXPECT_TRUE(adapted.matching.isPerfect());
     EXPECT_FALSE(adapted.perfectlyStable);
 }
@@ -104,21 +105,19 @@ TEST(RoommatesInstances, LargeRandomInstancesStaySane)
         }
         PreferenceProfile prefs(std::move(lists), n);
         // Rank-consistent disutility for the fallback.
-        const RoommatesResult result = adaptedRoommates(
-            prefs, [&](AgentId a, AgentId b) {
-                return static_cast<double>(prefs.rankOf(a, b)) /
-                       static_cast<double>(n);
+        const Disutility by_rank =
+            Disutility::tabulate(n, [&](AgentId a, AgentId b) {
+                return a == b ? 0.0
+                              : static_cast<double>(prefs.rankOf(a, b)) /
+                                    static_cast<double>(n);
             });
+        const RoommatesResult result = adaptedRoommates(prefs, by_rank);
         EXPECT_TRUE(result.matching.isPerfect()) << "n=" << n;
         EXPECT_TRUE(result.matching.consistent());
         // Either Irving solved it outright or the fallback kicked in;
         // in both cases blocking pairs must be a vanishing fraction.
-        const std::size_t blocking = countBlockingPairs(
-            result.matching,
-            [&](AgentId a, AgentId b) {
-                return static_cast<double>(prefs.rankOf(a, b));
-            },
-            0.0);
+        const std::size_t blocking =
+            countBlockingPairs(result.matching, by_rank, 0.0);
         EXPECT_LT(blocking, n) << "n=" << n;
     }
 }
@@ -135,7 +134,8 @@ TEST(RoommatesInstances, ProposalAndRotationCountsReported)
     }
     PreferenceProfile prefs(std::move(lists), 16);
     const RoommatesResult result = adaptedRoommates(
-        prefs, [](AgentId, AgentId) { return 0.1; });
+        prefs,
+        Disutility::tabulate(16, [](AgentId, AgentId) { return 0.1; }));
     EXPECT_GE(result.proposals, 16u);
 }
 

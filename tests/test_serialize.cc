@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "io/serialize.hh"
+#include "util/atomic_file.hh"
 #include "util/error.hh"
 
 namespace cooper {
@@ -473,6 +477,74 @@ TEST(Serialize, FileErrorsFatal)
     EXPECT_THROW(saveMatching("/no_such_dir_xyz/m.txt", match),
                  FatalError);
     EXPECT_THROW(loadMatching("/no_such_dir_xyz/m.txt"), FatalError);
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
+bool
+fileExists(const std::string &path)
+{
+    return std::ifstream(path).good();
+}
+
+TEST(AtomicFile, FailedWriterKeepsPreviousBytes)
+{
+    // Per process: the same test runs in several suites at once.
+    const std::string path = "/tmp/cooper_test_atomic_state." +
+                             std::to_string(::getpid()) + ".txt";
+    const std::string tmp = path + ".tmp";
+    saveOnlineState(path, sampleOnlineState());
+    const std::string before = fileBytes(path);
+    ASSERT_FALSE(before.empty());
+    EXPECT_FALSE(fileExists(tmp));
+
+    // A writer that throws midway, after part of the new file is out.
+    OnlineState next = sampleOnlineState();
+    next.epoch = 4;
+    EXPECT_THROW(writeFileAtomically(
+                     path,
+                     [&](std::ostream &out) {
+                         writeOnlineState(out, next);
+                         out.flush();
+                         fatal("simulated crash mid-write");
+                     },
+                     "test"),
+                 FatalError);
+    EXPECT_EQ(fileBytes(path), before);
+    EXPECT_FALSE(fileExists(tmp));
+
+    // A writer whose stream fails midway without throwing.
+    EXPECT_THROW(writeFileAtomically(
+                     path,
+                     [&](std::ostream &out) {
+                         out << "cooper-online-state";
+                         out.setstate(std::ios::badbit);
+                     },
+                     "test"),
+                 FatalError);
+    EXPECT_EQ(fileBytes(path), before);
+    EXPECT_FALSE(fileExists(tmp));
+
+    // A good write replaces the bytes and leaves no temp file.
+    saveOnlineState(path, next);
+    EXPECT_NE(fileBytes(path), before);
+    EXPECT_EQ(loadOnlineState(path).epoch, 4u);
+    EXPECT_FALSE(fileExists(tmp));
+    std::remove(path.c_str());
+}
+
+TEST(AtomicFile, UnwritableDirectoryLeavesNothing)
+{
+    const std::string path = "/no_such_dir_xyz/state.txt";
+    EXPECT_THROW(saveOnlineState(path, sampleOnlineState()), FatalError);
+    EXPECT_FALSE(fileExists(path + ".tmp"));
 }
 
 } // namespace

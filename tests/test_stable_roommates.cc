@@ -152,7 +152,8 @@ TEST(AdaptedRoommates, MatchesEveryoneOnEvenPopulations)
     for (int trial = 0; trial < 40; ++trial) {
         const std::size_t n = 2 * (1 + rng.uniformInt(std::uint64_t(10)));
         const PreferenceProfile prefs = randomRoommatePrefs(n, rng);
-        const RoommatesResult result = adaptedRoommates(prefs, d);
+        const RoommatesResult result =
+            adaptedRoommates(prefs, Disutility::tabulate(n, d));
         EXPECT_TRUE(result.matching.isPerfect()) << "trial " << trial;
         EXPECT_TRUE(result.matching.consistent());
     }
@@ -167,8 +168,10 @@ TEST(AdaptedRoommates, PerfectlyStableWhenIrvingSolves)
                              {0, 3, 2, 5, 1},
                              {4, 1, 3, 0, 2}},
                             6);
-    auto d = [](AgentId, AgentId) { return 0.5; };
-    const RoommatesResult result = adaptedRoommates(prefs, d);
+    const RoommatesResult result = adaptedRoommates(
+        prefs, Disutility::tabulate(6, [](AgentId, AgentId) {
+            return 0.5;
+        }));
     EXPECT_TRUE(result.perfectlyStable);
     EXPECT_TRUE(result.fallbackAgents.empty());
     EXPECT_TRUE(isStableMatching(result.matching, prefs));
@@ -181,9 +184,9 @@ TEST(AdaptedRoommates, FallbackEngagesOnUnsolvableInstance)
                              {0, 1, 3},
                              {0, 1, 2}},
                             4);
-    auto d = [](AgentId a, AgentId b) {
+    const Disutility d = Disutility::tabulate(4, [](AgentId a, AgentId b) {
         return 0.1 * static_cast<double>(a + b);
-    };
+    });
     const RoommatesResult result = adaptedRoommates(prefs, d);
     EXPECT_FALSE(result.perfectlyStable);
     EXPECT_FALSE(result.fallbackAgents.empty());
@@ -198,15 +201,11 @@ TEST(AdaptedRoommates, FewBlockingPairsOnLargePopulations)
     const std::size_t n = 100;
     const PreferenceProfile prefs = randomRoommatePrefs(n, rng);
     // Disutility consistent with the preference lists.
-    std::vector<std::vector<double>> d_table(
-        n, std::vector<double>(n, 0.0));
-    for (AgentId i = 0; i < n; ++i)
-        for (AgentId j = 0; j < n; ++j)
-            if (i != j)
-                d_table[i][j] =
-                    static_cast<double>(prefs.rankOf(i, j)) /
-                    static_cast<double>(n);
-    auto d = [&](AgentId a, AgentId b) { return d_table[a][b]; };
+    const Disutility d = Disutility::tabulate(n, [&](AgentId i, AgentId j) {
+        return i == j ? 0.0
+                      : static_cast<double>(prefs.rankOf(i, j)) /
+                            static_cast<double>(n);
+    });
 
     const RoommatesResult result = adaptedRoommates(prefs, d);
     EXPECT_TRUE(result.matching.isPerfect());
@@ -227,8 +226,10 @@ TEST(AdaptedRoommates, OddPopulationLeavesOneUnmatched)
 {
     Rng rng(5);
     const PreferenceProfile prefs = randomRoommatePrefs(7, rng);
-    auto d = [](AgentId, AgentId) { return 0.1; };
-    const RoommatesResult result = adaptedRoommates(prefs, d);
+    const RoommatesResult result = adaptedRoommates(
+        prefs, Disutility::tabulate(7, [](AgentId, AgentId) {
+            return 0.1;
+        }));
     EXPECT_EQ(result.matching.pairCount(), 3u);
 }
 

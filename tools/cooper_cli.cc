@@ -292,14 +292,8 @@ cmdAssess(int argc, const char *const *argv)
             "matching covers ", matching.size(), " agents, population "
             "has ", instance.agents());
 
-    const DisutilityTable truth(
-        instance.agents(), instance.agents(),
-        [&](AgentId a, AgentId b) {
-            return instance.trueDisutility(a, b);
-        },
-        threads);
     const auto pairs = findBlockingPairs(
-        matching, truth, flags.getDouble("alpha"), threads);
+        matching, instance.trueView(), flags.getDouble("alpha"), threads);
     std::vector<std::uint8_t> blocked(matching.size(), 0);
     for (const auto &pair : pairs) {
         blocked[pair.a] = 1;
@@ -373,14 +367,8 @@ cmdEpoch(int argc, const char *const *argv)
     // Cross-check the agents' message-exchange discovery with a
     // direct blocking-pair scan over true disutilities.
     ColocationInstance instance = framework.buildInstance(population);
-    const DisutilityTable truth(
-        instance.agents(), instance.agents(),
-        [&](AgentId a, AgentId b) {
-            return instance.trueDisutility(a, b);
-        },
-        threads);
-    const auto blocking =
-        findBlockingPairs(report.matching, truth, config.alpha, threads);
+    const auto blocking = findBlockingPairs(
+        report.matching, instance.trueView(), config.alpha, threads);
 
     std::cout << "epoch with " << config.policy << ": mean true penalty "
               << Table::num(report.meanPenalty, 4) << ", "
