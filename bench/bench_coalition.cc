@@ -29,15 +29,12 @@
  * threads and fails hard unless structures and Shapley shares are
  * bit-identical — the same differential the test suite holds.
  *
- * Emits BENCH_coalition.json (schema "cooper.bench_coalition.v1");
+ * Emits BENCH_coalition.json (cooper.bench.v2, bench "coalition");
  * --tiny shrinks the population for the `ctest -L bench-smoke` run.
  */
 
 #include <algorithm>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -60,30 +57,7 @@
 namespace {
 
 using namespace cooper;
-
-/** Full-precision JSON number. */
-std::string
-jsonNum(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(17) << value;
-    return out.str();
-}
-
-/** Parse "2,3,4" into group sizes. */
-std::vector<std::size_t>
-parseGroupList(const std::string &text)
-{
-    std::vector<std::size_t> out;
-    std::istringstream in(text);
-    std::string item;
-    while (std::getline(in, item, ','))
-        if (!item.empty())
-            out.push_back(static_cast<std::size_t>(std::stoul(item)));
-    if (out.empty())
-        throw std::runtime_error("empty --group-list");
-    return out;
-}
+using bench::jsonNum;
 
 /** One scheme's scores on one trial. */
 struct SchemeScore
@@ -148,56 +122,6 @@ struct GroupRow
     bool identicalAcrossThreads = true;
 };
 
-void
-writeJson(const std::string &path,
-          const std::vector<std::pair<std::string, std::string>> &workload,
-          const std::vector<GroupRow> &rows)
-{
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("cannot write " + path);
-    out << "{\n  \"schema\": \"cooper.bench_coalition.v1\",\n";
-    out << "  \"workload\": {";
-    for (std::size_t i = 0; i < workload.size(); ++i)
-        out << (i ? ", " : "") << "\"" << workload[i].first
-            << "\": " << workload[i].second;
-    out << "},\n  \"groups\": {\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const GroupRow &row = rows[i];
-        const double ratio =
-            static_cast<double>(row.blockingCoalition) /
-            static_cast<double>(std::max<std::size_t>(1, row.blockingSr));
-        out << "    \"g" << row.groupSize << "\": {"
-            << "\"group_size\": " << row.groupSize
-            << ", \"machines\": " << row.machines
-            << ", \"trials\": " << row.trials
-            << ", \"core_stable_trials\": " << row.coreStableTrials
-            << ", \"rounds_mean\": " << jsonNum(row.roundsMean)
-            << ", \"blocking_coalition\": " << row.blockingCoalition
-            << ", \"blocking_sr\": " << row.blockingSr
-            << ", \"blocking_smr\": " << row.blockingSmr
-            << ", \"blocking_ratio\": " << jsonNum(ratio)
-            << ", \"mean_penalty_coalition\": "
-            << jsonNum(row.meanCoalition.mean())
-            << ", \"mean_penalty_sr\": " << jsonNum(row.meanSr.mean())
-            << ", \"mean_penalty_smr\": " << jsonNum(row.meanSmr.mean())
-            << ", \"egalitarian_coalition\": "
-            << jsonNum(row.egalCoalition.mean())
-            << ", \"egalitarian_sr\": " << jsonNum(row.egalSr.mean())
-            << ", \"egalitarian_smr\": " << jsonNum(row.egalSmr.mean())
-            << ", \"fairness_coalition\": "
-            << jsonNum(row.fairCoalition.mean())
-            << ", \"fairness_sr\": " << jsonNum(row.fairSr.mean())
-            << ", \"fairness_smr\": " << jsonNum(row.fairSmr.mean())
-            << ", \"identical_across_threads\": "
-            << (row.identicalAcrossThreads ? "true" : "false") << "}"
-            << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    out << "  }\n}\n";
-    if (!out.flush())
-        throw std::runtime_error("failed writing " + path);
-}
-
 } // namespace
 
 int
@@ -230,7 +154,8 @@ main(int argc, char **argv)
             const auto samples = static_cast<std::size_t>(
                 flags.getInt("shapley-samples"));
             const std::vector<std::size_t> group_list =
-                parseGroupList(flags.get("group-list"));
+                bench::parseCountList(flags.get("group-list"),
+                                      "group-list");
 
             const Catalog catalog = Catalog::paperTableI();
             const InterferenceModel model(catalog);
@@ -350,17 +275,51 @@ main(int argc, char **argv)
                          "machine count,\nand G = 2 reproduces the "
                          "stable-roommates pairing exactly.\n";
 
-            const std::vector<std::pair<std::string, std::string>>
-                workload{
-                    {"agents", std::to_string(agents)},
-                    {"trials", std::to_string(trials)},
-                    {"types", std::to_string(catalog.size())},
-                    {"threads", std::to_string(threads)},
-                    {"shapley_samples", std::to_string(samples)},
-                    {"tiny", tiny ? "true" : "false"},
-                };
-            writeJson(flags.get("out"), workload, rows);
-            std::cout << "\nwrote " << flags.get("out")
-                      << " (schema cooper.bench_coalition.v1)\n";
+            bench::BenchDocument doc;
+            doc.bench = "coalition";
+            doc.workload = {
+                {"agents", jsonNum(agents)},
+                {"trials", jsonNum(trials)},
+                {"types", jsonNum(catalog.size())},
+                {"threads", jsonNum(threads)},
+                {"shapley_samples", jsonNum(samples)},
+                {"tiny", bench::jsonBool(tiny)},
+            };
+            for (const GroupRow &row : rows) {
+                const double ratio =
+                    static_cast<double>(row.blockingCoalition) /
+                    static_cast<double>(
+                        std::max<std::size_t>(1, row.blockingSr));
+                // Appending in place, not operator+ on a temporary,
+                // avoids GCC 12's false -Wrestrict.
+                std::string key = "g";
+                key += std::to_string(row.groupSize);
+                doc.rows.push_back(
+                    {key,
+                     {{"group_size", jsonNum(row.groupSize)},
+                      {"machines", jsonNum(row.machines)},
+                      {"trials", jsonNum(row.trials)},
+                      {"core_stable_trials", jsonNum(row.coreStableTrials)},
+                      {"rounds_mean", jsonNum(row.roundsMean)},
+                      {"blocking_coalition", jsonNum(row.blockingCoalition)},
+                      {"blocking_sr", jsonNum(row.blockingSr)},
+                      {"blocking_smr", jsonNum(row.blockingSmr)},
+                      {"blocking_ratio", jsonNum(ratio)},
+                      {"mean_penalty_coalition",
+                       jsonNum(row.meanCoalition.mean())},
+                      {"mean_penalty_sr", jsonNum(row.meanSr.mean())},
+                      {"mean_penalty_smr", jsonNum(row.meanSmr.mean())},
+                      {"egalitarian_coalition",
+                       jsonNum(row.egalCoalition.mean())},
+                      {"egalitarian_sr", jsonNum(row.egalSr.mean())},
+                      {"egalitarian_smr", jsonNum(row.egalSmr.mean())},
+                      {"fairness_coalition",
+                       jsonNum(row.fairCoalition.mean())},
+                      {"fairness_sr", jsonNum(row.fairSr.mean())},
+                      {"fairness_smr", jsonNum(row.fairSmr.mean())},
+                      {"identical_across_threads",
+                       bench::jsonBool(row.identicalAcrossThreads)}}});
+            }
+            bench::writeBenchDocument(flags.get("out"), doc);
         });
 }

@@ -1,27 +1,39 @@
 /**
  * @file
- * Online-service regression harness: replays the same churn trace
- * through the OnlineDriver twice — once with the warm-started
- * incremental predictor, once forcing a from-scratch re-predict every
- * epoch — cross-checks byte-identical summaries, and emits a
- * schema-stable BENCH_online.json (schema "cooper.bench_online.v1")
- * that tools/bench_json validates.
+ * Online-service regression harness: replays one churn trace through
+ * the OnlineDriver three ways — the clean incremental service, the
+ * same service forcing a from-scratch re-predict every epoch, and the
+ * incremental service under a rate-based FaultPlan (probe timeouts,
+ * dropped/corrupted measurements, node crashes) — and emits one
+ * BENCH_online.json (cooper.bench.v2, bench "online") that
+ * tools/bench_json validates.
  *
- * Two phases are reported:
+ * Byte-identity is checked on every rep: the full-predict summary must
+ * equal the incremental one, and every mode must reproduce its first
+ * rep's summary.
  *
- *  - predict: per-epoch prediction time, full re-predict (baseline)
- *             vs. incremental warm start (optimized). Both modes feed
- *             the same online.predict_seconds histogram, so the phase
- *             seconds are that histogram's per-run sum — exactly the
- *             time spent inside the prediction step, excluding the
- *             trace replay around it.
- *  - epoch:   whole-run wall clock of the incremental service, timed
- *             for trend tracking only (optimized_only).
+ * Three phases are reported:
  *
- * The document also carries the incremental run's online counters
- * (migrations, pairs broken, full rematches, predict cache hits,
- * recomputed similarity pairs) so a perf run can see *why* the
- * predict phase was cheap or expensive.
+ *  - predict:  per-epoch prediction time, full re-predict (baseline)
+ *              vs. incremental warm start (optimized). Both modes feed
+ *              the same online.predict_seconds histogram, so the phase
+ *              seconds are that histogram's per-run sum — exactly the
+ *              time spent inside the prediction step, excluding the
+ *              trace replay around it.
+ *  - epoch:    whole-run wall clock of the clean incremental service
+ *              (optimized_only).
+ *  - degraded: whole-run wall clock under the fault plan, including
+ *              retry ladders, quarantine churn, and crash repair
+ *              (optimized_only).
+ *
+ * The counters carry the clean run's online counters (migrations,
+ * pairs broken, full rematches, predict cache hits, recomputed
+ * similarity pairs), the degraded run's lifetime fault counters, and
+ * the degradation deltas: clean_blocking and degraded_blocking (the
+ * per-epoch post-repair blocking-pair counts summed over the run —
+ * every replay drains to an empty population, so the final epoch's
+ * count is always 0), blocking_ratio (degraded / clean) and
+ * throughput_ratio (epochs per second, degraded / clean).
  *
  * --tiny shrinks the trace for the `ctest -L bench-smoke` run; the
  * speedup acceptance number (incremental >= 1.5x full) is meant to be
@@ -31,15 +43,15 @@
  *       --min-speedup predict=1.5
  */
 
+#include <algorithm>
 #include <chrono>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
+#include "fault/plan.hh"
 #include "obs/obs.hh"
 #include "online/churn.hh"
 #include "online/driver.hh"
@@ -52,22 +64,9 @@
 namespace {
 
 using namespace cooper;
+using bench::jsonNum;
 
 using Clock = std::chrono::steady_clock;
-
-/** One phase row of the JSON document. */
-struct PhaseResult
-{
-    std::string name;
-    std::string mode; //!< "baseline_vs_optimized" or "optimized_only"
-    double baselineSeconds = 0.0;
-    double optimizedSeconds = 0.0;
-    double speedup = 0.0; //!< 0 in optimized_only mode
-    bool identical = true;
-    std::string metric; //!< backing MetricsRegistry histogram
-    std::uint64_t metricCount = 0;
-    double metricSum = 0.0;
-};
 
 /** One replay of the trace: everything the phases need. */
 struct RunResult
@@ -79,20 +78,11 @@ struct RunResult
     double wallSeconds = 0.0;
 };
 
-/** Full-precision JSON number. */
-std::string
-jsonNum(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(17) << value;
-    return out.str();
-}
-
-/** Replay `trace` once; fresh driver, fresh metrics registry. */
+/** Replay `trace` once under `plan`; fresh driver, fresh registry. */
 RunResult
 replay(const Catalog &catalog, const InterferenceModel &model,
        FrameworkConfig config, std::uint64_t seed,
-       const ChurnTrace &trace, bool incremental)
+       const ChurnTrace &trace, bool incremental, const FaultPlan &plan)
 {
     config.execution.online.incremental = incremental;
 
@@ -101,6 +91,7 @@ replay(const Catalog &catalog, const InterferenceModel &model,
     const ObsScope obs(obs_config);
 
     OnlineDriver driver(catalog, model, config, seed);
+    driver.setFaultPlan(plan);
     const auto start = Clock::now();
     RunResult out;
     out.report = driver.run(trace);
@@ -111,55 +102,51 @@ replay(const Catalog &catalog, const InterferenceModel &model,
     writeOnlineSummary(summary, out.report);
     out.summary = summary.str();
 
-    MetricsRegistry *metrics = obsMetrics();
-    if (metrics == nullptr)
-        throw std::runtime_error("metrics session missing");
-    for (const auto &[name, histogram] : metrics->snapshot().histograms) {
-        if (name == "online.predict_seconds") {
-            out.predictSeconds = histogram.sum;
-            out.predictCount = histogram.count;
-        }
-    }
+    const HistogramSnapshot predict = bench::metricValue(
+        bench::metricsSnapshot().histograms, "online.predict_seconds");
+    out.predictSeconds = predict.sum;
+    out.predictCount = predict.count;
     return out;
 }
 
-void
-writeJson(const std::string &path,
-          const std::vector<std::pair<std::string, std::string>> &workload,
-          const std::vector<PhaseResult> &phases,
-          const std::vector<std::pair<std::string, std::size_t>> &counters)
+/**
+ * Fold rep `run` into `best`: the first rep is kept whole, later reps
+ * must reproduce its summary and only lower its timings. Returns
+ * whether the summary matched.
+ */
+bool
+foldRep(RunResult &best, RunResult run, int rep)
 {
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("cannot write " + path);
-    out << "{\n  \"schema\": \"cooper.bench_online.v1\",\n";
-    out << "  \"workload\": {";
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << workload[i].first
-            << "\": " << workload[i].second;
+    if (rep == 0) {
+        best = std::move(run);
+        return true;
     }
-    out << "},\n  \"phases\": {\n";
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-        const PhaseResult &p = phases[i];
-        out << "    \"" << p.name << "\": {"
-            << "\"mode\": \"" << p.mode << "\", "
-            << "\"baseline_seconds\": " << jsonNum(p.baselineSeconds)
-            << ", \"optimized_seconds\": " << jsonNum(p.optimizedSeconds)
-            << ", \"speedup\": " << jsonNum(p.speedup)
-            << ", \"identical\": " << (p.identical ? "true" : "false")
-            << ", \"metric\": \"" << p.metric << "\""
-            << ", \"metric_count\": " << p.metricCount
-            << ", \"metric_sum\": " << jsonNum(p.metricSum) << "}"
-            << (i + 1 < phases.size() ? "," : "") << "\n";
-    }
-    out << "  },\n  \"online\": {";
-    for (std::size_t i = 0; i < counters.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << counters[i].first
-            << "\": " << counters[i].second;
-    }
-    out << "}\n}\n";
-    if (!out.flush())
-        throw std::runtime_error("failed writing " + path);
+    best.predictSeconds = std::min(best.predictSeconds, run.predictSeconds);
+    best.wallSeconds = std::min(best.wallSeconds, run.wallSeconds);
+    return run.summary == best.summary;
+}
+
+/** Post-repair blocking pairs summed over every epoch of a run. */
+std::size_t
+summedBlocking(const OnlineReport &report)
+{
+    std::size_t sum = 0;
+    for (const OnlineEpochStats &e : report.epochs)
+        sum += e.blockingAfter;
+    return sum;
+}
+
+/** An optimized_only whole-run phase over online.epoch_seconds. */
+bench::PhaseResult
+runPhase(const std::string &name, const RunResult &run)
+{
+    bench::PhaseResult p;
+    p.name = name;
+    p.optimizedSeconds = run.wallSeconds;
+    p.metric = "online.epoch_seconds";
+    p.metricCount = run.report.epochs.size();
+    p.metricSum = run.wallSeconds;
+    return p;
 }
 
 } // namespace
@@ -174,7 +161,7 @@ main(int argc, char **argv)
     flags.declare("mean-life", "900.0", "mean job lifetime, ticks");
     flags.declare("epoch-ticks", "50", "virtual-clock ticks per epoch");
     flags.declare("probes", "4", "probe colocations per admission");
-    flags.declare("seed", "2017", "trace and service seed");
+    flags.declare("seed", "2017", "trace, service, and fault seed");
     flags.declare("reps", "3", "timing repetitions (best-of)");
     flags.declare("tiny", "false",
                   "smoke-test sizes (arrivals 60, initial 8, ...)");
@@ -183,7 +170,8 @@ main(int argc, char **argv)
         return 0;
 
     return cooper::bench::runHarness(
-        "Online service: incremental warm-start vs. full re-predict",
+        "Online service: incremental vs. full re-predict, clean vs. "
+        "degraded",
         [&] {
             const bool tiny = flags.getBool("tiny");
             const auto seed =
@@ -201,8 +189,9 @@ main(int argc, char **argv)
 
             // The service decisions never depend on the thread count
             // (held by cooper_cli_serve and test_online_driver), so
-            // the bench runs serially: the win being measured is the
-            // warm start, not parallel scaling.
+            // the bench runs serially: the wins and deltas being
+            // measured are the warm start and the degradation, not
+            // parallel scaling.
             FrameworkConfig config;
             config.execution.threads = 1;
             config.execution.online.epochTicks = static_cast<std::uint64_t>(
@@ -210,103 +199,139 @@ main(int argc, char **argv)
             config.execution.online.probesPerArrival =
                 static_cast<std::size_t>(flags.getInt("probes"));
 
+            // The degraded replay's fault plan: one probe attempt in
+            // five times out, 5% of measurements are dropped and 5%
+            // corrupted, and a node crashes every ten epochs on
+            // average.
+            FaultSpec spec;
+            spec.seed = seed;
+            spec.probeTimeoutRate = 0.2;
+            spec.measurementDropRate = 0.05;
+            spec.measurementCorruptRate = 0.05;
+            spec.crashRatePerEpoch = 0.1;
+            const FaultPlan plan(spec);
+
             const Catalog catalog = Catalog::paperTableI();
             const InterferenceModel model(catalog);
             Rng trace_rng(seed);
             const ChurnTrace trace =
                 generateChurnTrace(catalog, churn, trace_rng);
 
-            // Best-of-reps on both modes; the two runs' summaries must
-            // not differ by a byte (every rep is checked).
-            RunResult incremental, full;
-            bool identical = true;
+            RunResult clean, full, degraded;
+            bool identical = true; //!< incremental == full-predict
+            bool repeatable = true; //!< every rep == its mode's first
             for (int r = 0; r < reps; ++r) {
                 RunResult inc = replay(catalog, model, config, seed,
-                                       trace, /*incremental=*/true);
+                                       trace, true, FaultPlan());
                 RunResult col = replay(catalog, model, config, seed,
-                                       trace, /*incremental=*/false);
+                                       trace, false, FaultPlan());
+                RunResult deg = replay(catalog, model, config, seed,
+                                       trace, true, plan);
                 identical = identical && inc.summary == col.summary;
-                if (r == 0 ||
-                    inc.predictSeconds < incremental.predictSeconds)
-                    incremental = std::move(inc);
-                if (r == 0 || col.predictSeconds < full.predictSeconds)
-                    full = std::move(col);
+                repeatable &= foldRep(clean, std::move(inc), r);
+                repeatable &= foldRep(full, std::move(col), r);
+                repeatable &= foldRep(degraded, std::move(deg), r);
             }
 
-            std::vector<PhaseResult> phases;
+            std::vector<bench::PhaseResult> phases;
             {
-                PhaseResult p;
+                bench::PhaseResult p;
                 p.name = "predict";
                 p.mode = "baseline_vs_optimized";
                 p.baselineSeconds = full.predictSeconds;
-                p.optimizedSeconds = incremental.predictSeconds;
+                p.optimizedSeconds = clean.predictSeconds;
                 p.speedup = p.baselineSeconds / p.optimizedSeconds;
                 p.identical = identical;
                 p.metric = "online.predict_seconds";
-                p.metricCount = incremental.predictCount;
-                p.metricSum = incremental.predictSeconds;
+                p.metricCount = clean.predictCount;
+                p.metricSum = clean.predictSeconds;
                 phases.push_back(std::move(p));
             }
-            {
-                PhaseResult p;
-                p.name = "epoch";
-                p.mode = "optimized_only";
-                p.optimizedSeconds = incremental.wallSeconds;
-                p.metric = "online.epoch_seconds";
-                p.metricCount = incremental.report.epochs.size();
-                p.metricSum = incremental.wallSeconds;
-                phases.push_back(std::move(p));
-            }
+            phases.push_back(runPhase("epoch", clean));
+            phases.push_back(runPhase("degraded", degraded));
+            bench::printPhases(phases);
 
-            const OnlineReport &report = incremental.report;
+            const OnlineReport &report = clean.report;
             std::size_t cache_hits = 0, recomputed = 0;
             for (const OnlineEpochStats &e : report.epochs) {
                 cache_hits += e.predictCacheHit ? 1 : 0;
                 recomputed += e.recomputedPairs;
             }
+            const OnlineReport &deg = degraded.report;
+            const std::size_t clean_blocking = summedBlocking(report);
+            const std::size_t degraded_blocking = summedBlocking(deg);
+            const double blocking_ratio =
+                static_cast<double>(degraded_blocking) /
+                static_cast<double>(std::max<std::size_t>(clean_blocking,
+                                                          1));
+            const double throughput_ratio =
+                (static_cast<double>(deg.epochs.size()) /
+                 degraded.wallSeconds) /
+                (static_cast<double>(report.epochs.size()) /
+                 clean.wallSeconds);
 
-            Table table({"phase", "baseline", "optimized", "speedup",
-                         "identical"});
-            for (const PhaseResult &p : phases) {
-                const bool compared = p.mode == "baseline_vs_optimized";
-                table.addRow(
-                    {p.name,
-                     compared
-                         ? Table::num(p.baselineSeconds * 1e3, 2) + " ms"
-                         : std::string("-"),
-                     Table::num(p.optimizedSeconds * 1e3, 2) + " ms",
-                     compared ? Table::num(p.speedup, 2)
-                              : std::string("-"),
-                     p.identical ? "yes" : "NO"});
-            }
-            table.print(std::cout);
             std::cout << "epochs " << report.epochs.size()
                       << ", cache hits " << cache_hits
-                      << ", recomputed pairs " << recomputed << "\n";
+                      << ", recomputed pairs " << recomputed << "\n"
+                      << "degraded: " << deg.totalFaultsInjected
+                      << " faults, " << deg.totalRetries << " retries, "
+                      << deg.totalQuarantined << " quarantined ("
+                      << deg.totalQuarantineReleased << " released, "
+                      << deg.totalAbandoned << " abandoned), "
+                      << deg.totalCrashes << " crashes, "
+                      << deg.totalCfFallbacks << " CF fallbacks\n"
+                      << "blocking pairs summed over epochs: clean "
+                      << clean_blocking << ", degraded "
+                      << degraded_blocking << " (ratio "
+                      << Table::num(blocking_ratio, 2)
+                      << "), throughput ratio "
+                      << Table::num(throughput_ratio, 2) << "\n";
 
             if (!identical)
                 throw std::runtime_error(
                     "incremental and full-predict summaries differ");
+            if (!repeatable)
+                throw std::runtime_error(
+                    "replays of one mode produced different summaries");
+            if (report.totalFaultsInjected != 0)
+                throw std::runtime_error(
+                    "fault-free run reported injected faults");
+            if (deg.totalFaultsInjected == 0)
+                throw std::runtime_error(
+                    "degraded run injected no faults");
 
-            const std::vector<std::pair<std::string, std::string>>
-                workload{
-                    {"events", std::to_string(trace.size())},
-                    {"epochs", std::to_string(report.epochs.size())},
-                    {"types", std::to_string(catalog.size())},
-                    {"arrivals", std::to_string(report.totalArrivals)},
-                    {"threads", "1"},
-                    {"tiny", tiny ? "true" : "false"},
-                };
-            const std::vector<std::pair<std::string, std::size_t>>
-                counters{
-                    {"migrations", report.totalMigrations},
-                    {"pairs_broken", report.totalPairsBroken},
-                    {"full_rematches", report.totalFullRematches},
-                    {"predict_cache_hits", cache_hits},
-                    {"recomputed_pairs", recomputed},
-                };
-            writeJson(flags.get("out"), workload, phases, counters);
-            std::cout << "\nwrote " << flags.get("out")
-                      << " (schema cooper.bench_online.v1)\n";
+            bench::BenchDocument doc;
+            doc.bench = "online";
+            doc.workload = {
+                {"events", jsonNum(trace.size())},
+                {"epochs", jsonNum(report.epochs.size())},
+                {"types", jsonNum(catalog.size())},
+                {"arrivals", jsonNum(report.totalArrivals)},
+                {"threads", "1"},
+                {"tiny", bench::jsonBool(tiny)},
+            };
+            doc.phases = std::move(phases);
+            doc.counters = {
+                {"migrations", jsonNum(report.totalMigrations)},
+                {"pairs_broken", jsonNum(report.totalPairsBroken)},
+                {"full_rematches", jsonNum(report.totalFullRematches)},
+                {"predict_cache_hits", jsonNum(cache_hits)},
+                {"recomputed_pairs", jsonNum(recomputed)},
+                {"injected", jsonNum(deg.totalFaultsInjected)},
+                {"retries", jsonNum(deg.totalRetries)},
+                {"quarantined", jsonNum(deg.totalQuarantined)},
+                {"quarantine_released",
+                 jsonNum(deg.totalQuarantineReleased)},
+                {"abandoned", jsonNum(deg.totalAbandoned)},
+                {"crashes", jsonNum(deg.totalCrashes)},
+                {"cf_fallbacks", jsonNum(deg.totalCfFallbacks)},
+                {"checkpoint_failures",
+                 jsonNum(deg.totalCheckpointFailures)},
+                {"clean_blocking", jsonNum(clean_blocking)},
+                {"degraded_blocking", jsonNum(degraded_blocking)},
+                {"blocking_ratio", jsonNum(blocking_ratio)},
+                {"throughput_ratio", jsonNum(throughput_ratio)},
+            };
+            bench::writeBenchDocument(flags.get("out"), doc);
         });
 }

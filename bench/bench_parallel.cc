@@ -12,8 +12,6 @@
  * still hold.
  */
 
-#include <chrono>
-#include <cstring>
 #include <iostream>
 #include <vector>
 
@@ -35,33 +33,8 @@ namespace {
 
 using namespace cooper;
 
-using Clock = std::chrono::steady_clock;
-
-/** Wall-clock seconds of the best of `reps` runs. */
-template <typename Fn>
-double
-bestSeconds(int reps, Fn &&fn)
-{
-    double best = 1e300;
-    for (int r = 0; r < reps; ++r) {
-        const auto start = Clock::now();
-        fn();
-        const std::chrono::duration<double> elapsed =
-            Clock::now() - start;
-        best = std::min(best, elapsed.count());
-    }
-    return best;
-}
-
-bool
-sameBits(const std::vector<double> &a, const std::vector<double> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    return a.empty() ||
-           std::memcmp(a.data(), b.data(),
-                       a.size() * sizeof(double)) == 0;
-}
+using bench::bestSeconds;
+using bench::sameBits;
 
 struct KernelResult
 {

@@ -3,8 +3,8 @@
  * Kernel regression harness: times the seed ("baseline") hot-path
  * kernels against the packed/memoized rewrites on a Table-I-derived
  * workload, cross-checks exact equality of their outputs, and emits a
- * schema-stable BENCH_kernels.json (schema "cooper.bench_kernels.v1")
- * that tools/bench_json validates.
+ * BENCH_kernels.json (cooper.bench.v2, bench "kernels") that
+ * tools/bench_json validates.
  *
  * Seven phases are reported:
  *
@@ -40,13 +40,9 @@
  *       --min-speedup similarity=3,simd_similarity=1.5,blocking=2,blocking_incremental=3
  */
 
-#include <chrono>
 #include <cstring>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -71,34 +67,10 @@
 namespace {
 
 using namespace cooper;
-
-using Clock = std::chrono::steady_clock;
-
-/** Wall-clock seconds of the best of `reps` runs. */
-template <typename Fn>
-double
-bestSeconds(int reps, Fn &&fn)
-{
-    double best = 1e300;
-    for (int r = 0; r < reps; ++r) {
-        const auto start = Clock::now();
-        fn();
-        const std::chrono::duration<double> elapsed =
-            Clock::now() - start;
-        best = std::min(best, elapsed.count());
-    }
-    return best;
-}
-
-bool
-sameBits(const std::vector<double> &a, const std::vector<double> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    return a.empty() ||
-           std::memcmp(a.data(), b.data(),
-                       a.size() * sizeof(double)) == 0;
-}
+using bench::bestSeconds;
+using bench::jsonNum;
+using bench::PhaseResult;
+using bench::sameBits;
 
 bool
 sameDense(const std::vector<std::vector<double>> &a,
@@ -110,95 +82,6 @@ sameDense(const std::vector<std::vector<double>> &a,
         if (!sameBits(a[r], b[r]))
             return false;
     return true;
-}
-
-/** One phase row of the JSON document. */
-struct PhaseResult
-{
-    std::string name;
-    std::string mode; //!< "baseline_vs_optimized" or "optimized_only"
-    double baselineSeconds = 0.0;
-    double optimizedSeconds = 0.0;
-    double speedup = 0.0; //!< 0 in optimized_only mode
-    bool identical = true;
-    std::string metric; //!< backing MetricsRegistry histogram
-    std::uint64_t metricCount = 0;
-    double metricSum = 0.0;
-};
-
-/** Full-precision JSON number. */
-std::string
-jsonNum(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(17) << value;
-    return out.str();
-}
-
-void
-writeJson(const std::string &path,
-          const std::vector<std::pair<std::string, std::string>> &workload,
-          const std::vector<PhaseResult> &phases)
-{
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("cannot write " + path);
-    out << "{\n  \"schema\": \"cooper.bench_kernels.v1\",\n";
-    out << "  \"workload\": {";
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << workload[i].first
-            << "\": " << workload[i].second;
-    }
-    out << "},\n  \"phases\": {\n";
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-        const PhaseResult &p = phases[i];
-        out << "    \"" << p.name << "\": {"
-            << "\"mode\": \"" << p.mode << "\", "
-            << "\"baseline_seconds\": " << jsonNum(p.baselineSeconds)
-            << ", \"optimized_seconds\": " << jsonNum(p.optimizedSeconds)
-            << ", \"speedup\": " << jsonNum(p.speedup)
-            << ", \"identical\": " << (p.identical ? "true" : "false")
-            << ", \"metric\": \"" << p.metric << "\""
-            << ", \"metric_count\": " << p.metricCount
-            << ", \"metric_sum\": " << jsonNum(p.metricSum) << "}"
-            << (i + 1 < phases.size() ? "," : "") << "\n";
-    }
-    out << "  }\n}\n";
-    if (!out.flush())
-        throw std::runtime_error("failed writing " + path);
-}
-
-/** Fill metric/metricCount/metricSum from the registry snapshot. */
-void
-attachMetric(PhaseResult &phase, const MetricsSnapshot &snapshot,
-             const std::string &metric)
-{
-    phase.metric = metric;
-    for (const auto &[name, histogram] : snapshot.histograms) {
-        if (name == metric) {
-            phase.metricCount = histogram.count;
-            phase.metricSum = histogram.sum;
-            return;
-        }
-    }
-}
-
-void
-printPhases(const std::vector<PhaseResult> &phases)
-{
-    Table table({"phase", "baseline", "optimized", "speedup",
-                 "identical"});
-    for (const PhaseResult &p : phases) {
-        const bool compared = p.mode == "baseline_vs_optimized";
-        table.addRow(
-            {p.name,
-             compared ? Table::num(p.baselineSeconds * 1e3, 2) + " ms"
-                      : std::string("-"),
-             Table::num(p.optimizedSeconds * 1e3, 2) + " ms",
-             compared ? Table::num(p.speedup, 2) : std::string("-"),
-             p.identical ? "yes" : "NO"});
-    }
-    table.print(std::cout);
 }
 
 } // namespace
@@ -492,10 +375,7 @@ main(int argc, char **argv)
             }
 
             // Attach the registry histograms behind each phase timer.
-            MetricsRegistry *metrics = obsMetrics();
-            if (metrics == nullptr)
-                throw std::runtime_error("metrics session missing");
-            const MetricsSnapshot snapshot = metrics->snapshot();
+            const MetricsSnapshot snapshot = bench::metricsSnapshot();
             const char *backing[] = {
                 "cf.similarity_seconds", "cf.similarity_seconds",
                 "cf.predict_pass_seconds",
@@ -503,30 +383,35 @@ main(int argc, char **argv)
                 "matching.blocking_seconds",
                 "matching.blocking_bound_seconds",
                 "shapley.sampled_seconds"};
-            for (std::size_t i = 0; i < phases.size(); ++i)
-                attachMetric(phases[i], snapshot, backing[i]);
+            for (std::size_t i = 0; i < phases.size(); ++i) {
+                const HistogramSnapshot histogram =
+                    bench::metricValue(snapshot.histograms, backing[i]);
+                phases[i].metric = backing[i];
+                phases[i].metricCount = histogram.count;
+                phases[i].metricSum = histogram.sum;
+            }
 
-            printPhases(phases);
+            bench::printPhases(phases);
 
             for (const PhaseResult &p : phases)
                 if (!p.identical)
                     throw std::runtime_error(
                         "equivalence violation in phase " + p.name);
 
-            const std::vector<std::pair<std::string, std::string>>
-                workload{
-                    {"matrix", std::to_string(matrix_n)},
-                    {"population", std::to_string(population)},
-                    {"samples", std::to_string(samples)},
-                    {"shapley_agents", std::to_string(shapley_n)},
-                    {"alpha", jsonNum(alpha)},
-                    {"density", jsonNum(density)},
-                    {"reps", std::to_string(reps)},
-                    {"threads", std::to_string(kThreads)},
-                    {"tiny", tiny ? "true" : "false"},
-                };
-            writeJson(flags.get("out"), workload, phases);
-            std::cout << "\nwrote " << flags.get("out")
-                      << " (schema cooper.bench_kernels.v1)\n";
+            bench::BenchDocument doc;
+            doc.bench = "kernels";
+            doc.workload = {
+                {"matrix", jsonNum(matrix_n)},
+                {"population", jsonNum(population)},
+                {"samples", jsonNum(samples)},
+                {"shapley_agents", jsonNum(shapley_n)},
+                {"alpha", jsonNum(alpha)},
+                {"density", jsonNum(density)},
+                {"reps", jsonNum(reps)},
+                {"threads", jsonNum(kThreads)},
+                {"tiny", bench::jsonBool(tiny)},
+            };
+            doc.phases = std::move(phases);
+            bench::writeBenchDocument(flags.get("out"), doc);
         });
 }

@@ -2,15 +2,15 @@
  * @file
  * Service-plane throughput harness: serves one churn trace over real
  * loopback TCP — the in-process load generator replaying it from N
- * concurrent connections — and emits a schema-stable BENCH_serve.json
- * (schema "cooper.bench_serve.v1") that tools/bench_json validates.
+ * concurrent connections — and emits BENCH_serve.json
+ * (cooper.bench.v2, bench "serve") that tools/bench_json validates.
  *
  * Three phases are reported:
  *
  *  - serve:          whole-run client wall clock of the batched
  *                    server, timed for trend tracking
- *                    (optimized_only). The document's latency object
- *                    carries this run's sustained arrivals/sec and
+ *                    (optimized_only). The document's counters
+ *                    carry this run's sustained arrivals/sec and
  *                    the p50/p99/p999 of per-message RTT and
  *                    per-epoch completion latency.
  *  - batched_decode: the same trace served by the per-message-syscall
@@ -45,8 +45,6 @@
  */
 
 #include <chrono>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -72,20 +70,7 @@
 namespace {
 
 using namespace cooper;
-
-/** One phase row of the JSON document. */
-struct PhaseResult
-{
-    std::string name;
-    std::string mode; //!< "baseline_vs_optimized" or "optimized_only"
-    double baselineSeconds = 0.0;
-    double optimizedSeconds = 0.0;
-    double speedup = 0.0; //!< 0 in optimized_only mode
-    bool identical = true;
-    std::string metric; //!< backing MetricsRegistry counter
-    std::uint64_t metricCount = 0;
-    double metricSum = 0.0;
-};
+using bench::jsonNum;
 
 /** One served replay: client-side stats plus server-side counters. */
 struct ServedRun
@@ -97,24 +82,6 @@ struct ServedRun
     std::uint64_t framesIn = 0;
     std::uint64_t epochsServed = 0;
 };
-
-/** Full-precision JSON number. */
-std::string
-jsonNum(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(17) << value;
-    return out.str();
-}
-
-std::uint64_t
-counterValue(const MetricsSnapshot &snapshot, const std::string &name)
-{
-    for (const auto &[counter, value] : snapshot.counters)
-        if (counter == name)
-            return value;
-    return 0;
-}
 
 /**
  * Serve `trace` over loopback TCP: an EpollServer on its own thread,
@@ -153,18 +120,14 @@ serveOnce(const Catalog &catalog, const InterferenceModel &model,
         throw std::runtime_error("load generator failed: " +
                                  result.error);
 
-    MetricsRegistry *metrics = obsMetrics();
-    if (metrics == nullptr)
-        throw std::runtime_error("metrics session missing");
-    const MetricsSnapshot snapshot = metrics->snapshot();
-
+    const auto counters = bench::metricsSnapshot().counters;
     ServedRun out;
     out.summary = result.summary;
     out.stats = result.stats;
-    out.readSyscalls = counterValue(snapshot, "net.read_syscalls");
-    out.writeSyscalls = counterValue(snapshot, "net.write_syscalls");
-    out.framesIn = counterValue(snapshot, "net.frames_in");
-    out.epochsServed = counterValue(snapshot, "net.epochs_served");
+    out.readSyscalls = bench::metricValue(counters, "net.read_syscalls");
+    out.writeSyscalls = bench::metricValue(counters, "net.write_syscalls");
+    out.framesIn = bench::metricValue(counters, "net.frames_in");
+    out.epochsServed = bench::metricValue(counters, "net.epochs_served");
     return out;
 }
 
@@ -242,51 +205,9 @@ serveMulti(const Catalog &catalog, const InterferenceModel &model,
         out.identical =
             out.identical && results[r].summary == references[r];
     }
-    MetricsRegistry *metrics = obsMetrics();
-    if (metrics == nullptr)
-        throw std::runtime_error("metrics session missing");
-    out.runsServed =
-        counterValue(metrics->snapshot(), "net.runs_served");
+    out.runsServed = bench::metricValue(
+        bench::metricsSnapshot().counters, "net.runs_served");
     return out;
-}
-
-void
-writeJson(const std::string &path,
-          const std::vector<std::pair<std::string, std::string>> &workload,
-          const std::vector<PhaseResult> &phases,
-          const std::vector<std::pair<std::string, double>> &latency)
-{
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("cannot write " + path);
-    out << "{\n  \"schema\": \"cooper.bench_serve.v1\",\n";
-    out << "  \"workload\": {";
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << workload[i].first
-            << "\": " << workload[i].second;
-    }
-    out << "},\n  \"phases\": {\n";
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-        const PhaseResult &p = phases[i];
-        out << "    \"" << p.name << "\": {"
-            << "\"mode\": \"" << p.mode << "\", "
-            << "\"baseline_seconds\": " << jsonNum(p.baselineSeconds)
-            << ", \"optimized_seconds\": " << jsonNum(p.optimizedSeconds)
-            << ", \"speedup\": " << jsonNum(p.speedup)
-            << ", \"identical\": " << (p.identical ? "true" : "false")
-            << ", \"metric\": \"" << p.metric << "\""
-            << ", \"metric_count\": " << p.metricCount
-            << ", \"metric_sum\": " << jsonNum(p.metricSum) << "}"
-            << (i + 1 < phases.size() ? "," : "") << "\n";
-    }
-    out << "  },\n  \"latency\": {";
-    for (std::size_t i = 0; i < latency.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << latency[i].first
-            << "\": " << jsonNum(latency[i].second);
-    }
-    out << "}\n}\n";
-    if (!out.flush())
-        throw std::runtime_error("failed writing " + path);
 }
 
 } // namespace
@@ -408,9 +329,9 @@ main(int argc, char **argv)
             const double sequentialSeconds =
                 static_cast<double>(runs) * solo.wallSeconds;
 
-            std::vector<PhaseResult> phases;
+            std::vector<bench::PhaseResult> phases;
             {
-                PhaseResult p;
+                bench::PhaseResult p;
                 p.name = "serve";
                 p.mode = "optimized_only";
                 p.optimizedSeconds = batched.stats.wallSeconds;
@@ -421,7 +342,7 @@ main(int argc, char **argv)
                 phases.push_back(std::move(p));
             }
             {
-                PhaseResult p;
+                bench::PhaseResult p;
                 p.name = "batched_decode";
                 p.mode = "baseline_vs_optimized";
                 p.baselineSeconds = permsg.stats.wallSeconds;
@@ -435,7 +356,7 @@ main(int argc, char **argv)
                 phases.push_back(std::move(p));
             }
             {
-                PhaseResult p;
+                bench::PhaseResult p;
                 p.name = "runs_per_server";
                 p.mode = "baseline_vs_optimized";
                 p.baselineSeconds = sequentialSeconds;
@@ -487,30 +408,29 @@ main(int argc, char **argv)
                     "served summaries differ from the in-process "
                     "replay");
 
-            const std::vector<std::pair<std::string, std::string>>
-                workload{
-                    {"events", std::to_string(trace.size())},
-                    {"epochs", std::to_string(batched.epochsServed)},
-                    {"types", std::to_string(catalog.size())},
-                    {"arrivals",
-                     std::to_string(batched.stats.eventsSent)},
-                    {"connections", std::to_string(connections)},
-                    {"runs", std::to_string(runs)},
-                    {"threads", "1"},
-                    {"tiny", tiny ? "true" : "false"},
-                };
-            const std::vector<std::pair<std::string, double>> latency{
-                {"arrivals_per_sec",
-                 batched.stats.arrivalsPerSecond},
-                {"rtt_p50_ms", batched.stats.rttP50Ms},
-                {"rtt_p99_ms", batched.stats.rttP99Ms},
-                {"rtt_p999_ms", batched.stats.rttP999Ms},
-                {"epoch_p50_ms", batched.stats.epochP50Ms},
-                {"epoch_p99_ms", batched.stats.epochP99Ms},
-                {"epoch_p999_ms", batched.stats.epochP999Ms},
+            bench::BenchDocument doc;
+            doc.bench = "serve";
+            doc.workload = {
+                {"events", jsonNum(trace.size())},
+                {"epochs", jsonNum(batched.epochsServed)},
+                {"types", jsonNum(catalog.size())},
+                {"arrivals", jsonNum(batched.stats.eventsSent)},
+                {"connections", jsonNum(connections)},
+                {"runs", jsonNum(runs)},
+                {"threads", "1"},
+                {"tiny", bench::jsonBool(tiny)},
             };
-            writeJson(flags.get("out"), workload, phases, latency);
-            std::cout << "\nwrote " << flags.get("out")
-                      << " (schema cooper.bench_serve.v1)\n";
+            doc.phases = std::move(phases);
+            const net::LoadGenStats &stats = batched.stats;
+            doc.counters = {
+                {"arrivals_per_sec", jsonNum(stats.arrivalsPerSecond)},
+                {"rtt_p50_ms", jsonNum(stats.rttP50Ms)},
+                {"rtt_p99_ms", jsonNum(stats.rttP99Ms)},
+                {"rtt_p999_ms", jsonNum(stats.rttP999Ms)},
+                {"epoch_p50_ms", jsonNum(stats.epochP50Ms)},
+                {"epoch_p99_ms", jsonNum(stats.epochP99Ms)},
+                {"epoch_p999_ms", jsonNum(stats.epochP999Ms)},
+            };
+            bench::writeBenchDocument(flags.get("out"), doc);
         });
 }

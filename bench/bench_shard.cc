@@ -3,9 +3,9 @@
  * Sharded-fleet scaling harness: replays one churn trace through the
  * ShardedDriver at each shard count in --shard-list, cross-checks
  * that the K = 1 run matches the flat OnlineDriver byte-for-byte
- * (the same differential the test suite holds), and emits a
- * schema-stable BENCH_shard.json (schema "cooper.bench_shard.v1")
- * that tools/bench_json validates.
+ * (the same differential the test suite holds), and emits
+ * BENCH_shard.json (cooper.bench.v2, bench "shard") that
+ * tools/bench_json validates.
  *
  * What scales: epoch repair cost is O(population^2) per matching
  * domain, so K shards each holding ~n/K jobs do ~n^2/K work per epoch
@@ -26,8 +26,6 @@
  */
 
 #include <chrono>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -47,6 +45,7 @@
 namespace {
 
 using namespace cooper;
+using bench::jsonNum;
 
 using Clock = std::chrono::steady_clock;
 
@@ -63,32 +62,6 @@ struct ScaleResult
     std::string summary; //!< writeShardedSummary bytes (determinism)
     std::string flatEquivalent; //!< K = 1 only: shard 0 as a flat summary
 };
-
-/** Full-precision JSON number. */
-std::string
-jsonNum(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(17) << value;
-    return out.str();
-}
-
-/** Parse "1,2,4" into shard counts. */
-std::vector<std::size_t>
-parseShardList(const std::string &text)
-{
-    std::vector<std::size_t> out;
-    std::istringstream in(text);
-    std::string item;
-    while (std::getline(in, item, ',')) {
-        if (item.empty())
-            continue;
-        out.push_back(static_cast<std::size_t>(std::stoul(item)));
-    }
-    if (out.empty())
-        throw std::runtime_error("empty --shard-list");
-    return out;
-}
 
 /** Replay `trace` once at shard count `k`; best wall time over reps. */
 ScaleResult
@@ -139,62 +112,6 @@ replay(const Catalog &catalog, const InterferenceModel &model,
     return out;
 }
 
-void
-writeJson(const std::string &path,
-          const std::vector<std::pair<std::string, std::string>> &workload,
-          const std::vector<ScaleResult> &runs, double baselineSeconds)
-{
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("cannot write " + path);
-    out << "{\n  \"schema\": \"cooper.bench_shard.v1\",\n";
-    out << "  \"workload\": {";
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << workload[i].first
-            << "\": " << workload[i].second;
-    }
-    out << "},\n  \"phases\": {\n";
-    bool first = true;
-    for (const ScaleResult &run : runs) {
-        if (run.requestedShards <= 1)
-            continue;
-        if (!first)
-            out << ",\n";
-        first = false;
-        const double speedup = baselineSeconds / run.wallSeconds;
-        out << "    \"scale" << run.requestedShards << "\": {"
-            << "\"mode\": \"optimized_only\", "
-            << "\"baseline_seconds\": " << jsonNum(baselineSeconds)
-            << ", \"optimized_seconds\": " << jsonNum(run.wallSeconds)
-            << ", \"speedup\": " << jsonNum(speedup)
-            << ", \"identical\": true"
-            << ", \"metric\": \"shard.epoch_seconds\""
-            << ", \"metric_count\": " << run.epochs
-            << ", \"metric_sum\": " << jsonNum(run.wallSeconds) << "}";
-    }
-    out << "\n  },\n  \"shards\": {\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const ScaleResult &run = runs[i];
-        const double speedup = baselineSeconds / run.wallSeconds;
-        const double efficiency =
-            speedup / static_cast<double>(run.requestedShards);
-        out << "    \"k" << run.requestedShards << "\": {"
-            << "\"shards\": " << run.effectiveShards
-            << ", \"wall_seconds\": " << jsonNum(run.wallSeconds)
-            << ", \"speedup\": " << jsonNum(speedup)
-            << ", \"efficiency\": " << jsonNum(efficiency)
-            << ", \"egalitarian_final\": "
-            << jsonNum(run.egalitarianFinal)
-            << ", \"egalitarian_mean\": " << jsonNum(run.egalitarianMean)
-            << ", \"migrations\": " << run.migrations
-            << ", \"epochs\": " << run.epochs << "}"
-            << (i + 1 < runs.size() ? "," : "") << "\n";
-    }
-    out << "  }\n}\n";
-    if (!out.flush())
-        throw std::runtime_error("failed writing " + path);
-}
-
 } // namespace
 
 int
@@ -229,8 +146,13 @@ main(int argc, char **argv)
                 static_cast<std::uint64_t>(flags.getInt("seed"));
             const int reps =
                 tiny ? 1 : static_cast<int>(flags.getInt("reps"));
-            const std::vector<std::size_t> shard_list = parseShardList(
-                tiny ? "1,2" : flags.get("shard-list"));
+            // Parsed even when --tiny overrides it: a malformed list
+            // is an error at every size.
+            std::vector<std::size_t> shard_list =
+                bench::parseCountList(flags.get("shard-list"),
+                                      "shard-list");
+            if (tiny)
+                shard_list = {1, 2};
             if (shard_list.front() != 1)
                 throw std::runtime_error(
                     "--shard-list must start with 1 (the baseline)");
@@ -298,20 +220,44 @@ main(int argc, char **argv)
             }
             table.print(std::cout);
 
-            const std::vector<std::pair<std::string, std::string>>
-                workload{
-                    {"events", std::to_string(trace.size())},
-                    {"arrivals", std::to_string(churn.arrivals)},
-                    {"types", std::to_string(catalog.size())},
-                    {"threads",
-                     std::to_string(config.execution.threads)},
-                    {"rebalance_budget",
-                     std::to_string(config.execution.online
-                                        .rebalanceBudgetPerEpoch)},
-                    {"tiny", tiny ? "true" : "false"},
-                };
-            writeJson(flags.get("out"), workload, runs, baseline);
-            std::cout << "\nwrote " << flags.get("out")
-                      << " (schema cooper.bench_shard.v1)\n";
+            bench::BenchDocument doc;
+            doc.bench = "shard";
+            doc.workload = {
+                {"events", jsonNum(trace.size())},
+                {"arrivals", jsonNum(churn.arrivals)},
+                {"types", jsonNum(catalog.size())},
+                {"threads", jsonNum(config.execution.threads)},
+                {"rebalance_budget",
+                 jsonNum(config.execution.online.rebalanceBudgetPerEpoch)},
+                {"tiny", bench::jsonBool(tiny)},
+            };
+            for (const ScaleResult &run : runs) {
+                const double speedup = baseline / run.wallSeconds;
+                const double efficiency =
+                    speedup / static_cast<double>(run.requestedShards);
+                const std::string k = std::to_string(run.requestedShards);
+                if (run.requestedShards > 1) {
+                    bench::PhaseResult p;
+                    p.name = "scale" + k;
+                    p.baselineSeconds = baseline;
+                    p.optimizedSeconds = run.wallSeconds;
+                    p.speedup = speedup;
+                    p.metric = "shard.epoch_seconds";
+                    p.metricCount = run.epochs;
+                    p.metricSum = run.wallSeconds;
+                    doc.phases.push_back(std::move(p));
+                }
+                doc.rows.push_back(
+                    {"k" + k,
+                     {{"shards", jsonNum(run.effectiveShards)},
+                      {"wall_seconds", jsonNum(run.wallSeconds)},
+                      {"speedup", jsonNum(speedup)},
+                      {"efficiency", jsonNum(efficiency)},
+                      {"egalitarian_final", jsonNum(run.egalitarianFinal)},
+                      {"egalitarian_mean", jsonNum(run.egalitarianMean)},
+                      {"migrations", jsonNum(run.migrations)},
+                      {"epochs", jsonNum(run.epochs)}}});
+            }
+            bench::writeBenchDocument(flags.get("out"), doc);
         });
 }

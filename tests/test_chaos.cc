@@ -266,8 +266,8 @@ TEST_F(FaultStormTest, ProbeTimeoutStormDegradesGracefully)
 {
     // The acceptance storm: 20% of probe attempts time out. Every
     // epoch must still complete, the service must never crash, all
-    // quarantines must resolve, and the final matching must stay
-    // within 2x of the fault-free blocking-pair count.
+    // quarantines must resolve, and the matching must stay within 2x
+    // of the fault-free blocking-pair count.
     const ChurnTrace trace = makeTrace(200, 21);
     const FrameworkConfig config = serviceConfig();
 
@@ -291,14 +291,20 @@ TEST_F(FaultStormTest, ProbeTimeoutStormDegradesGracefully)
     // Degradation resolved: nothing left in quarantine at the end.
     EXPECT_EQ(degraded.finalQuarantine, 0u);
 
-    // The matching survived the storm: final blocking-pair count is
-    // within 2x of the fault-free run's.
-    const std::size_t clean_blocking =
-        clean.epochs.back().blockingAfter;
-    const std::size_t degraded_blocking =
-        degraded.epochs.back().blockingAfter;
-    EXPECT_LE(degraded_blocking,
-              std::max<std::size_t>(2 * clean_blocking, 1));
+    // The matching survived the storm: post-repair blocking pairs,
+    // summed over every epoch, stay within 2x of the fault-free run's.
+    // (Both replays drain to an empty population, so the final
+    // epoch's count is 0 either way and could not tell them apart.)
+    const auto summed = [](const OnlineReport &report) {
+        std::size_t sum = 0;
+        for (const OnlineEpochStats &e : report.epochs)
+            sum += e.blockingAfter;
+        return sum;
+    };
+    const std::size_t clean_blocking = summed(clean);
+    const std::size_t degraded_blocking = summed(degraded);
+    EXPECT_GT(clean_blocking, 0u);
+    EXPECT_LE(degraded_blocking, 2 * clean_blocking);
 }
 
 TEST_F(FaultStormTest, ScriptedStormQuarantinesThenRecovers)

@@ -2,44 +2,36 @@
  * @file
  * bench_json — python-free validation of the bench JSON documents.
  *
- * Parses a document with the in-tree JSON reader and dispatches on its
- * "schema" field:
+ * Every bench harness writes one document shape, `cooper.bench.v2`
+ * (bench/bench_common.hh):
  *
- *  - "cooper.bench_kernels.v1" (bench_regression): a workload object
- *    with the run's dimensions, and a phases object holding the seven
- *    kernel phases;
- *  - "cooper.bench_online.v1" (bench_online): the online-service
- *    workload shape, a phases object with the warm-started `predict`
- *    comparison and the `epoch` throughput, and an online counters
- *    object;
- *  - "cooper.bench_faults.v1" (bench_faults): the online workload
- *    shape, `clean` and `degraded` throughput phases, and a faults
- *    object with the injected-fault counters and the degradation
- *    ratios (blocking_ratio, throughput_ratio);
- *  - "cooper.bench_shard.v1" (bench_shard): the sharded workload
- *    shape, one `scale<K>` phase per shard count above one, and a
- *    shards object with at least two per-shard-count rows (wall
- *    clock, speedup, efficiency = speedup/K, egalitarian objective,
- *    migrations);
- *  - "cooper.bench_serve.v1" (bench_serve): the served workload
- *    shape, the `serve` throughput, `batched_decode` comparison, and
- *    `runs_per_server` multi-run-efficiency phases, and a latency
- *    object with the sustained arrival rate and the client-observed
- *    RTT / epoch-completion tails;
- *  - "cooper.bench_coalition.v1" (bench_coalition): the coalition
- *    workload shape and a groups object with one row per group size
- *    (blocking counts for the formation and the packed SR/SMR
- *    baselines, blocking_ratio, welfare and fairness columns, and the
- *    identical_across_threads determinism verdict, which must be
- *    true).
+ *   {"schema": "cooper.bench.v2", "bench": B, "workload": {...},
+ *    "phases": {...}, "counters": {...}, "rows": {...}}
  *
- * Empty, truncated, or otherwise corrupt documents are hard failures
- * (exit 1) — a bench run that crashed mid-write must not validate.
+ * where B is one of kernels (bench_regression), online (bench_online),
+ * shard (bench_shard), serve (bench_serve), or coalition
+ * (bench_coalition). One validation path checks every document; what
+ * differs per bench is data in kBenches: the required workload
+ * fields, phases, counters and row fields, the minimum row count, the
+ * per-field bounds, and the row booleans that must be true.
  *
- * Every phase carries mode / baseline_seconds / optimized_seconds /
- * speedup / identical / metric fields; phases in baseline_vs_optimized
- * mode must report identical == true (the equivalence gate) and a
- * positive speedup.
+ * Rules every document obeys:
+ *
+ *  - workload carries the bench's numeric fields and a boolean `tiny`;
+ *  - every phase carries mode / baseline_seconds / optimized_seconds /
+ *    speedup / identical / metric / metric_count / metric_sum, with
+ *    non-negative seconds; phases in baseline_vs_optimized mode must
+ *    report identical == true (the equivalence gate) and a positive
+ *    speedup;
+ *  - counters and row fields are numbers, non-negative unless the
+ *    bench's table gives them another range (online `injected`,
+ *    `throughput_ratio` and `clean_blocking` > 0; serve
+ *    `arrivals_per_sec` > 0; shard `shards` >= 1 and `efficiency` > 0;
+ *    coalition fairness in [-1, 1] and `group_size` >= 2).
+ *
+ * Empty, truncated, or otherwise corrupt documents, and documents of
+ * any other schema, are hard failures (exit 1) — a bench run that
+ * crashed mid-write must not validate.
  *
  * --min-speedup takes phase=value pairs so a perf run can enforce the
  * acceptance numbers. Every floor is checked before the verdict: a
@@ -52,20 +44,22 @@
  *   bench_json --file BENCH_online.json --min-speedup predict=1.5
  *
  * --min-efficiency does the same for the shard document's per-count
- * scaling efficiency:
+ * scaling efficiency (rows k<K>):
  *
  *   bench_json --file BENCH_shard.json --min-efficiency k2=0.5
  *
- * --max-blocking-ratio is the coalition document's stability ceiling:
- * the formation's blocking-coalition count relative to the packed
- * stable-roommates baseline at the same capacity must not exceed the
- * bound (1 = "never less stable than packed pairs"):
+ * --max-blocking-ratio is the coalition document's stability ceiling
+ * (rows g<G>): the formation's blocking-coalition count relative to
+ * the packed stable-roommates baseline at the same capacity must not
+ * exceed the bound (1 = "never less stable than packed pairs"):
  *
  *   bench_json --file BENCH_coalition.json \
  *       --max-blocking-ratio g3=1,g4=1
  */
 
+#include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -78,73 +72,94 @@ namespace {
 
 using namespace cooper;
 
-constexpr const char *kKernelsSchema = "cooper.bench_kernels.v1";
-constexpr const char *kOnlineSchema = "cooper.bench_online.v1";
-constexpr const char *kFaultsSchema = "cooper.bench_faults.v1";
-constexpr const char *kShardSchema = "cooper.bench_shard.v1";
-constexpr const char *kServeSchema = "cooper.bench_serve.v1";
-constexpr const char *kCoalitionSchema = "cooper.bench_coalition.v1";
+constexpr const char *kSchema = "cooper.bench.v2";
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-const char *const kKernelPhases[] = {
-    "similarity", "simd_similarity",      "predict", "matching",
-    "blocking",   "blocking_incremental", "shapley"};
+/** Allowed range of one numeric counter or row field. */
+struct Limit
+{
+    const char *field;
+    double low;
+    bool strict; //!< low itself is excluded
+    double high;
+};
 
-const char *const kKernelWorkloadFields[] = {
-    "matrix",        "population", "samples", "shapley_agents",
-    "alpha",         "density",    "reps",    "threads"};
+/** What one bench's document must carry. */
+struct BenchSpec
+{
+    const char *bench;
+    std::vector<const char *> workload; //!< numbers, besides `tiny`
+    std::vector<const char *> phases;   //!< required by name
+    std::vector<const char *> counters;
+    std::vector<const char *> rowFields;
+    std::vector<const char *> rowFlags; //!< booleans that must be true
+    std::size_t minRows;
+    std::vector<Limit> limits; //!< fields not listed must be >= 0
+};
 
-const char *const kOnlinePhases[] = {"predict", "epoch"};
-
-const char *const kOnlineWorkloadFields[] = {"events", "epochs", "types",
-                                             "arrivals", "threads"};
-
-const char *const kOnlineCounterFields[] = {
-    "migrations", "pairs_broken", "full_rematches", "predict_cache_hits",
-    "recomputed_pairs"};
-
-const char *const kFaultsPhases[] = {"clean", "degraded"};
-
-const char *const kShardWorkloadFields[] = {
-    "events", "arrivals", "types", "threads", "rebalance_budget"};
-
-const char *const kShardRowFields[] = {
-    "shards",          "wall_seconds",     "speedup",   "efficiency",
-    "egalitarian_final", "egalitarian_mean", "migrations", "epochs"};
-
-const char *const kServePhases[] = {"serve", "batched_decode",
-                                    "runs_per_server"};
-
-const char *const kServeWorkloadFields[] = {
-    "events", "epochs",      "types",  "arrivals",
-    "runs",   "connections", "threads"};
-
-const char *const kServeLatencyFields[] = {
-    "arrivals_per_sec", "rtt_p50_ms",   "rtt_p99_ms", "rtt_p999_ms",
-    "epoch_p50_ms",     "epoch_p99_ms", "epoch_p999_ms"};
-
-const char *const kCoalitionWorkloadFields[] = {
-    "agents", "trials", "types", "threads", "shapley_samples"};
-
-/** Non-negative numeric columns of one groups.g<G> row. */
-const char *const kCoalitionRowFields[] = {
-    "group_size",         "machines",
-    "trials",             "core_stable_trials",
-    "rounds_mean",        "blocking_coalition",
-    "blocking_sr",        "blocking_smr",
-    "blocking_ratio",     "mean_penalty_coalition",
-    "mean_penalty_sr",    "mean_penalty_smr",
-    "egalitarian_coalition", "egalitarian_sr",
-    "egalitarian_smr"};
-
-/** Rank correlations: numeric, bounded to [-1, 1]. */
-const char *const kCoalitionFairnessFields[] = {
-    "fairness_coalition", "fairness_sr", "fairness_smr"};
-
-const char *const kFaultsCounterFields[] = {
-    "injected",          "retries",           "quarantined",
-    "quarantine_released", "abandoned",       "crashes",
-    "cf_fallbacks",      "checkpoint_failures", "clean_blocking",
-    "degraded_blocking", "blocking_ratio",    "throughput_ratio"};
+const std::vector<BenchSpec> kBenches = {
+    {"kernels",
+     {"matrix", "population", "samples", "shapley_agents", "alpha",
+      "density", "reps", "threads"},
+     {"similarity", "simd_similarity", "predict", "matching", "blocking",
+      "blocking_incremental", "shapley"},
+     {},
+     {},
+     {},
+     0,
+     {}},
+    {"online",
+     {"events", "epochs", "types", "arrivals", "threads"},
+     {"predict", "epoch", "degraded"},
+     {"migrations", "pairs_broken", "full_rematches",
+      "predict_cache_hits", "recomputed_pairs", "injected", "retries",
+      "quarantined", "quarantine_released", "abandoned", "crashes",
+      "cf_fallbacks", "checkpoint_failures", "clean_blocking",
+      "degraded_blocking", "blocking_ratio", "throughput_ratio"},
+     {},
+     {},
+     0,
+     {{"injected", 0.0, true, kInf},
+      {"throughput_ratio", 0.0, true, kInf},
+      {"clean_blocking", 0.0, true, kInf}}},
+    // Phase names are data ("scale2", "scale4", ...): every phase the
+    // document carries is checked, none is required by name.
+    {"shard",
+     {"events", "arrivals", "types", "threads", "rebalance_budget"},
+     {},
+     {},
+     {"shards", "wall_seconds", "speedup", "efficiency",
+      "egalitarian_final", "egalitarian_mean", "migrations", "epochs"},
+     {},
+     2,
+     {{"shards", 1.0, false, kInf}, {"efficiency", 0.0, true, kInf}}},
+    {"serve",
+     {"events", "epochs", "types", "arrivals", "runs", "connections",
+      "threads"},
+     {"serve", "batched_decode", "runs_per_server"},
+     {"arrivals_per_sec", "rtt_p50_ms", "rtt_p99_ms", "rtt_p999_ms",
+      "epoch_p50_ms", "epoch_p99_ms", "epoch_p999_ms"},
+     {},
+     {},
+     0,
+     {{"arrivals_per_sec", 0.0, true, kInf}}},
+    {"coalition",
+     {"agents", "trials", "types", "threads", "shapley_samples"},
+     {},
+     {},
+     {"group_size", "machines", "trials", "core_stable_trials",
+      "rounds_mean", "blocking_coalition", "blocking_sr", "blocking_smr",
+      "blocking_ratio", "mean_penalty_coalition", "mean_penalty_sr",
+      "mean_penalty_smr", "egalitarian_coalition", "egalitarian_sr",
+      "egalitarian_smr", "fairness_coalition", "fairness_sr",
+      "fairness_smr"},
+     {"identical_across_threads"},
+     1,
+     {{"group_size", 2.0, false, kInf},
+      {"fairness_coalition", -1.0, false, 1.0},
+      {"fairness_sr", -1.0, false, 1.0},
+      {"fairness_smr", -1.0, false, 1.0}}},
+};
 
 const JsonValue &
 member(const JsonValue &object, const std::string &key,
@@ -154,6 +169,16 @@ member(const JsonValue &object, const std::string &key,
     fatalIf(value == nullptr, "bench_json: ", where, " lacks \"", key,
             "\"");
     return *value;
+}
+
+const JsonValue &
+objectField(const JsonValue &object, const std::string &key,
+            const std::string &where)
+{
+    const JsonValue &value = member(object, key, where);
+    fatalIf(!value.isObject(), "bench_json: ", where, ".", key,
+            " is not an object");
+    return value;
 }
 
 double
@@ -166,9 +191,40 @@ numberField(const JsonValue &object, const std::string &key,
     return value.number;
 }
 
-/** Split "phase=value,phase=value" into pairs. */
+bool
+boolField(const JsonValue &object, const std::string &key,
+          const std::string &where)
+{
+    const JsonValue &value = member(object, key, where);
+    fatalIf(value.kind != JsonValue::Kind::Bool, "bench_json: ", where,
+            ".", key, " is not a boolean");
+    return value.boolean;
+}
+
+/** Check `field` of `object` against the bench's range for it. */
+void
+checkBounded(const JsonValue &object, const char *field,
+             const std::string &where, const BenchSpec &spec)
+{
+    Limit limit{field, 0.0, false, kInf};
+    for (const Limit &candidate : spec.limits)
+        if (std::strcmp(candidate.field, field) == 0)
+            limit = candidate;
+    const double value = numberField(object, field, where);
+    const bool above = limit.strict ? value > limit.low : value >= limit.low;
+    if (above && value <= limit.high)
+        return;
+    std::ostringstream want;
+    want << (limit.strict ? "> " : ">= ") << limit.low;
+    if (limit.high < kInf)
+        want << " and <= " << limit.high;
+    fatal("bench_json: ", where, ".", field, " is ", value, ", want ",
+          want.str());
+}
+
+/** Split "name=value,name=value" into pairs. */
 std::vector<std::pair<std::string, double>>
-parseMinSpeedups(const std::string &csv)
+parseBounds(const std::string &flag, const std::string &csv)
 {
     std::vector<std::pair<std::string, double>> out;
     std::size_t start = 0;
@@ -180,8 +236,8 @@ parseMinSpeedups(const std::string &csv)
         const std::size_t eq = item.find('=');
         fatalIf(eq == std::string::npos || eq == 0 ||
                     eq + 1 >= item.size(),
-                "bench_json: bad --min-speedup entry \"", item,
-                "\"; want phase=value");
+                "bench_json: bad --", flag, " entry \"", item,
+                "\"; want name=value");
         out.emplace_back(item.substr(0, eq),
                          std::stod(item.substr(eq + 1)));
         if (comma == std::string::npos)
@@ -204,17 +260,11 @@ checkPhase(const JsonValue &phase, const std::string &name)
                  mode.text != "optimized_only"),
             "bench_json: ", where, ".mode is not a known mode");
 
-    const double baseline =
-        numberField(phase, "baseline_seconds", where);
-    const double optimized =
-        numberField(phase, "optimized_seconds", where);
+    for (const char *field : {"baseline_seconds", "optimized_seconds"})
+        fatalIf(numberField(phase, field, where) < 0.0, "bench_json: ",
+                where, ".", field, " is negative");
     const double speedup = numberField(phase, "speedup", where);
-    fatalIf(baseline < 0.0 || optimized < 0.0,
-            "bench_json: ", where, " has negative seconds");
-
-    const JsonValue &identical = member(phase, "identical", where);
-    fatalIf(identical.kind != JsonValue::Kind::Bool,
-            "bench_json: ", where, ".identical is not a boolean");
+    const bool identical = boolField(phase, "identical", where);
 
     fatalIf(!member(phase, "metric", where).isString(),
             "bench_json: ", where, ".metric is not a string");
@@ -222,193 +272,84 @@ checkPhase(const JsonValue &phase, const std::string &name)
     numberField(phase, "metric_sum", where);
 
     if (mode.text == "baseline_vs_optimized") {
-        fatalIf(!identical.boolean, "bench_json: ", where,
-                " compared kernels whose outputs differ");
+        fatalIf(!identical, "bench_json: ", where,
+                ".identical is false: the compared kernels' outputs "
+                "differ");
         fatalIf(speedup <= 0.0, "bench_json: ", where,
-                " has a non-positive speedup");
+                ".speedup is not positive");
     }
 }
 
-void
-checkTinyFlag(const JsonValue &workload)
+/** Validate `root` as a cooper.bench.v2 document; returns its spec. */
+const BenchSpec &
+validate(const JsonValue &root, const std::string &path)
 {
-    fatalIf(member(workload, "tiny", "workload").kind !=
-                JsonValue::Kind::Bool,
-            "bench_json: workload.tiny is not a boolean");
-}
+    const JsonValue &schema = member(root, "schema", path);
+    fatalIf(!schema.isString() || schema.text != kSchema,
+            "bench_json: ", path, " schema is not \"", kSchema, "\"");
 
-void
-validateKernels(const JsonValue &root, const std::string &path)
-{
-    const JsonValue &workload = member(root, "workload", path);
-    fatalIf(!workload.isObject(),
-            "bench_json: workload is not an object");
-    for (const char *field : kKernelWorkloadFields)
+    const JsonValue &bench = member(root, "bench", path);
+    const BenchSpec *spec = nullptr;
+    for (const BenchSpec &candidate : kBenches)
+        if (bench.isString() && bench.text == candidate.bench)
+            spec = &candidate;
+    fatalIf(spec == nullptr, "bench_json: ", path,
+            " has an unknown bench \"", bench.text, "\"");
+
+    const JsonValue &workload = objectField(root, "workload", path);
+    for (const char *field : spec->workload)
         numberField(workload, field, "workload");
-    checkTinyFlag(workload);
+    boolField(workload, "tiny", "workload");
 
-    const JsonValue &phases = member(root, "phases", path);
-    fatalIf(!phases.isObject(), "bench_json: phases is not an object");
-    for (const char *name : kKernelPhases)
-        checkPhase(member(phases, name, "phases"), name);
-}
-
-void
-validateOnline(const JsonValue &root, const std::string &path)
-{
-    const JsonValue &workload = member(root, "workload", path);
-    fatalIf(!workload.isObject(),
-            "bench_json: workload is not an object");
-    for (const char *field : kOnlineWorkloadFields)
-        numberField(workload, field, "workload");
-    checkTinyFlag(workload);
-
-    const JsonValue &phases = member(root, "phases", path);
-    fatalIf(!phases.isObject(), "bench_json: phases is not an object");
-    for (const char *name : kOnlinePhases)
-        checkPhase(member(phases, name, "phases"), name);
-
-    const JsonValue &counters = member(root, "online", path);
-    fatalIf(!counters.isObject(),
-            "bench_json: online is not an object");
-    for (const char *field : kOnlineCounterFields)
-        fatalIf(numberField(counters, field, "online") < 0.0,
-                "bench_json: online.", field, " is negative");
-}
-
-void
-validateFaults(const JsonValue &root, const std::string &path)
-{
-    const JsonValue &workload = member(root, "workload", path);
-    fatalIf(!workload.isObject(),
-            "bench_json: workload is not an object");
-    for (const char *field : kOnlineWorkloadFields)
-        numberField(workload, field, "workload");
-    checkTinyFlag(workload);
-
-    const JsonValue &phases = member(root, "phases", path);
-    fatalIf(!phases.isObject(), "bench_json: phases is not an object");
-    for (const char *name : kFaultsPhases)
-        checkPhase(member(phases, name, "phases"), name);
-
-    const JsonValue &faults = member(root, "faults", path);
-    fatalIf(!faults.isObject(),
-            "bench_json: faults is not an object");
-    for (const char *field : kFaultsCounterFields)
-        fatalIf(numberField(faults, field, "faults") < 0.0,
-                "bench_json: faults.", field, " is negative");
-
-    // A faults document that injected nothing measured nothing: the
-    // degraded phase would silently equal the clean one.
-    fatalIf(numberField(faults, "injected", "faults") <= 0.0,
-            "bench_json: faults.injected is zero — the degraded run "
-            "exercised no faults");
-    fatalIf(numberField(faults, "throughput_ratio", "faults") <= 0.0,
-            "bench_json: faults.throughput_ratio is not positive");
-}
-
-void
-validateShard(const JsonValue &root, const std::string &path)
-{
-    const JsonValue &workload = member(root, "workload", path);
-    fatalIf(!workload.isObject(),
-            "bench_json: workload is not an object");
-    for (const char *field : kShardWorkloadFields)
-        numberField(workload, field, "workload");
-    checkTinyFlag(workload);
-
-    // Phase names are data ("scale2", "scale4", ...): check whatever
-    // the document carries rather than a fixed list.
-    const JsonValue &phases = member(root, "phases", path);
-    fatalIf(!phases.isObject(), "bench_json: phases is not an object");
+    const JsonValue &phases = objectField(root, "phases", path);
+    for (const char *name : spec->phases)
+        member(phases, name, "phases");
     for (const auto &[name, phase] : phases.members)
         checkPhase(phase, name);
 
-    const JsonValue &shards = member(root, "shards", path);
-    fatalIf(!shards.isObject(), "bench_json: shards is not an object");
-    fatalIf(shards.members.size() < 2,
-            "bench_json: shards has fewer than two shard counts — no "
-            "scaling was measured");
-    for (const auto &[name, row] : shards.members) {
-        const std::string where = "shards." + name;
+    const JsonValue &counters = objectField(root, "counters", path);
+    for (const char *field : spec->counters)
+        checkBounded(counters, field, "counters", *spec);
+
+    const JsonValue &rows = objectField(root, "rows", path);
+    fatalIf(rows.members.size() < spec->minRows, "bench_json: rows has ",
+            rows.members.size(), " entries, want at least ",
+            spec->minRows);
+    for (const auto &[name, row] : rows.members) {
+        const std::string where = "rows." + name;
         fatalIf(!row.isObject(), "bench_json: ", where,
                 " is not an object");
-        for (const char *field : kShardRowFields)
-            fatalIf(numberField(row, field, where) < 0.0,
-                    "bench_json: ", where, ".", field, " is negative");
-        fatalIf(numberField(row, "shards", where) < 1.0,
-                "bench_json: ", where, " ran zero shards");
-        fatalIf(numberField(row, "efficiency", where) <= 0.0,
-                "bench_json: ", where, ".efficiency is not positive");
+        for (const char *field : spec->rowFields)
+            checkBounded(row, field, where, *spec);
+        for (const char *flag : spec->rowFlags)
+            fatalIf(!boolField(row, flag, where), "bench_json: ", where,
+                    ".", flag, " is false");
     }
+    return *spec;
 }
 
-void
-validateServe(const JsonValue &root, const std::string &path)
+/** One `name=value` bound option: a floor or a ceiling on a field. */
+struct BoundOption
 {
-    const JsonValue &workload = member(root, "workload", path);
-    fatalIf(!workload.isObject(),
-            "bench_json: workload is not an object");
-    for (const char *field : kServeWorkloadFields)
-        numberField(workload, field, "workload");
-    checkTinyFlag(workload);
+    const char *flag;
+    const char *bench;   //!< the only bench it applies to; "" = any
+    const char *section; //!< "phases" or "rows"
+    const char *field;
+    const char *failLabel; //!< "phase", "shard row", "group row"
+    const char *passLabel;
+    const char *quantity;
+    const char *unit;
+    bool ceiling;
+};
 
-    const JsonValue &phases = member(root, "phases", path);
-    fatalIf(!phases.isObject(), "bench_json: phases is not an object");
-    for (const char *name : kServePhases)
-        checkPhase(member(phases, name, "phases"), name);
-
-    const JsonValue &latency = member(root, "latency", path);
-    fatalIf(!latency.isObject(),
-            "bench_json: latency is not an object");
-    for (const char *field : kServeLatencyFields)
-        fatalIf(numberField(latency, field, "latency") < 0.0,
-                "bench_json: latency.", field, " is negative");
-
-    // A serve document with no sustained rate served nothing: the
-    // latency tails would all be vacuous zeros.
-    fatalIf(numberField(latency, "arrivals_per_sec", "latency") <= 0.0,
-            "bench_json: latency.arrivals_per_sec is not positive — "
-            "the served run moved no events");
-}
-
-void
-validateCoalition(const JsonValue &root, const std::string &path)
-{
-    const JsonValue &workload = member(root, "workload", path);
-    fatalIf(!workload.isObject(),
-            "bench_json: workload is not an object");
-    for (const char *field : kCoalitionWorkloadFields)
-        numberField(workload, field, "workload");
-    checkTinyFlag(workload);
-
-    const JsonValue &groups = member(root, "groups", path);
-    fatalIf(!groups.isObject(), "bench_json: groups is not an object");
-    fatalIf(groups.members.empty(),
-            "bench_json: groups is empty — no group size was measured");
-    for (const auto &[name, row] : groups.members) {
-        const std::string where = "groups." + name;
-        fatalIf(!row.isObject(), "bench_json: ", where,
-                " is not an object");
-        for (const char *field : kCoalitionRowFields)
-            fatalIf(numberField(row, field, where) < 0.0,
-                    "bench_json: ", where, ".", field, " is negative");
-        for (const char *field : kCoalitionFairnessFields) {
-            const double rho = numberField(row, field, where);
-            fatalIf(rho < -1.0 || rho > 1.0, "bench_json: ", where,
-                    ".", field, " is not a rank correlation");
-        }
-        fatalIf(numberField(row, "group_size", where) < 2.0,
-                "bench_json: ", where, " has a group size below 2");
-        const JsonValue &identical =
-            member(row, "identical_across_threads", where);
-        fatalIf(identical.kind != JsonValue::Kind::Bool,
-                "bench_json: ", where,
-                ".identical_across_threads is not a boolean");
-        fatalIf(!identical.boolean, "bench_json: ", where,
-                " formation diverged across thread counts");
-    }
-}
+const BoundOption kBoundOptions[] = {
+    {"min-speedup", "", "phases", "speedup", "phase", "phase", "speedup",
+     "x", false},
+    {"min-efficiency", "shard", "rows", "efficiency", "shard row",
+     "shards", "efficiency", "", false},
+    {"max-blocking-ratio", "coalition", "rows", "blocking_ratio",
+     "group row", "groups", "blocking ratio", "", true},
+};
 
 } // namespace
 
@@ -417,15 +358,15 @@ main(int argc, char **argv)
 {
     CliFlags flags;
     flags.declare("file", "BENCH_kernels.json",
-                  "bench_regression JSON document to validate");
+                  "bench JSON document to validate");
     flags.declare("min-speedup", "",
                   "comma-separated phase=value floors to enforce");
     flags.declare("min-efficiency", "",
                   "comma-separated shard-row=value efficiency floors "
-                  "(cooper.bench_shard.v1 only), e.g. k2=0.5");
+                  "(shard documents only), e.g. k2=0.5");
     flags.declare("max-blocking-ratio", "",
                   "comma-separated group-row=value stability ceilings "
-                  "(cooper.bench_coalition.v1 only), e.g. g3=1,g4=1");
+                  "(coalition documents only), e.g. g3=1,g4=1");
     try {
         if (!flags.parse(argc, argv))
             return 0;
@@ -433,90 +374,42 @@ main(int argc, char **argv)
         const JsonValue root = parseJsonFile(path);
         fatalIf(!root.isObject(), "bench_json: ", path,
                 " is not a JSON object");
+        const BenchSpec &spec = validate(root, path);
 
-        const JsonValue &schema = member(root, "schema", path);
-        fatalIf(!schema.isString(), "bench_json: ", path,
-                " schema is not a string");
-        if (schema.text == kKernelsSchema)
-            validateKernels(root, path);
-        else if (schema.text == kOnlineSchema)
-            validateOnline(root, path);
-        else if (schema.text == kFaultsSchema)
-            validateFaults(root, path);
-        else if (schema.text == kShardSchema)
-            validateShard(root, path);
-        else if (schema.text == kServeSchema)
-            validateServe(root, path);
-        else if (schema.text == kCoalitionSchema)
-            validateCoalition(root, path);
-        else
-            fatal("bench_json: ", path, " has unknown schema \"",
-                  schema.text, "\"");
-
-        // Floors: check every requested phase before the verdict so a
-        // failing run names all offenders, not just the first.
+        // Floors and ceilings: check every requested entry before the
+        // verdict so a failing run names all offenders, not just the
+        // first.
         std::vector<std::string> violations;
-        if (!flags.get("min-speedup").empty()) {
-            const JsonValue &phases = member(root, "phases", path);
-            for (const auto &[name, floor] :
-                 parseMinSpeedups(flags.get("min-speedup"))) {
-                const JsonValue &phase = member(phases, name, "phases");
-                const double speedup =
-                    numberField(phase, "speedup", "phases." + name);
-                if (speedup < floor) {
+        for (const BoundOption &option : kBoundOptions) {
+            if (flags.get(option.flag).empty())
+                continue;
+            fatalIf(*option.bench != '\0' &&
+                        std::strcmp(option.bench, spec.bench) != 0,
+                    "bench_json: --", option.flag, " only applies to ",
+                    option.bench, " documents");
+            const JsonValue &section = member(root, option.section, path);
+            for (const auto &[name, bound] :
+                 parseBounds(option.flag, flags.get(option.flag))) {
+                const std::string where =
+                    std::string(option.section) + "." + name;
+                const double value = numberField(
+                    member(section, name, option.section), option.field,
+                    where);
+                if (option.ceiling ? value > bound : value < bound) {
                     std::ostringstream os;
-                    os << "bench_json: phase " << name << ": measured "
-                          "speedup " << speedup
-                       << " is below the required " << floor << "x";
+                    os << "bench_json: " << option.failLabel << " "
+                       << name << ": measured " << option.quantity << " "
+                       << value
+                       << (option.ceiling ? " exceeds the allowed "
+                                          : " is below the required ")
+                       << bound << option.unit;
                     violations.push_back(os.str());
                     continue;
                 }
-                std::cout << "phase " << name << ": speedup " << speedup
-                          << " >= " << floor << "x\n";
-            }
-        }
-        if (!flags.get("min-efficiency").empty()) {
-            fatalIf(schema.text != kShardSchema,
-                    "bench_json: --min-efficiency only applies to ",
-                    kShardSchema, " documents");
-            const JsonValue &shards = member(root, "shards", path);
-            for (const auto &[name, floor] :
-                 parseMinSpeedups(flags.get("min-efficiency"))) {
-                const JsonValue &row = member(shards, name, "shards");
-                const double efficiency =
-                    numberField(row, "efficiency", "shards." + name);
-                if (efficiency < floor) {
-                    std::ostringstream os;
-                    os << "bench_json: shard row " << name
-                       << ": measured efficiency " << efficiency
-                       << " is below the required " << floor;
-                    violations.push_back(os.str());
-                    continue;
-                }
-                std::cout << "shards " << name << ": efficiency "
-                          << efficiency << " >= " << floor << "\n";
-            }
-        }
-        if (!flags.get("max-blocking-ratio").empty()) {
-            fatalIf(schema.text != kCoalitionSchema,
-                    "bench_json: --max-blocking-ratio only applies to ",
-                    kCoalitionSchema, " documents");
-            const JsonValue &groups = member(root, "groups", path);
-            for (const auto &[name, ceiling] :
-                 parseMinSpeedups(flags.get("max-blocking-ratio"))) {
-                const JsonValue &row = member(groups, name, "groups");
-                const double ratio = numberField(row, "blocking_ratio",
-                                                 "groups." + name);
-                if (ratio > ceiling) {
-                    std::ostringstream os;
-                    os << "bench_json: group row " << name
-                       << ": measured blocking ratio " << ratio
-                       << " exceeds the allowed " << ceiling;
-                    violations.push_back(os.str());
-                    continue;
-                }
-                std::cout << "groups " << name << ": blocking ratio "
-                          << ratio << " <= " << ceiling << "\n";
+                std::cout << option.passLabel << " " << name << ": "
+                          << option.quantity << " " << value
+                          << (option.ceiling ? " <= " : " >= ") << bound
+                          << option.unit << "\n";
             }
         }
         if (!violations.empty()) {
